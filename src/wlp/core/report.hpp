@@ -49,8 +49,10 @@ struct ExecReport {
   long undone_writes = 0;  ///< memory locations restored after the run
   long shadow_marks = 0;   ///< PD shadow marks recorded during the run
   long dispatcher_steps = 0;  ///< total recurrence evaluations (hops) across
-                              ///< all processors; ~trip for General-1/3,
-                              ///< ~p*trip for General-2
+                              ///< all processors; ~trip for General-1, up
+                              ///< to ~p*trip for General-2/3
+  long claims = 0;  ///< General-3: grabs against its shared issue counter
+                    ///< (the DOALL drivers' count is QuitResult::claims)
   long verdict_probes = 0;  ///< verdict-cache lookups issued (0 = no cache)
   long verdict_hits = 0;    ///< lookups served from the cache
   double checkpoint_ns = 0;  ///< measured wall time snapshotting state (Tb)

@@ -10,8 +10,9 @@
 //   * General-2: every processor privately traverses the whole structure and
 //     statically executes the iterations congruent to its vpn mod p.
 //   * General-3: every processor privately traverses, but iterations are
-//     claimed dynamically; a processor replays the recurrence from the last
-//     point it held (`prev`) to its newly claimed iteration.
+//     claimed dynamically (self-sized claims, sched/claim.hpp); a processor
+//     replays the recurrence from the last point it held (`prev`) to its
+//     newly claimed iteration.
 //
 // All three are generic over a *cursor*: any copyable value plus a `next`
 // step and an `is_end` predicate (the RI component of the terminator that is
@@ -24,6 +25,7 @@
 #include <mutex>
 
 #include "wlp/core/report.hpp"
+#include "wlp/sched/claim.hpp"
 #include "wlp/sched/doall.hpp"
 #include "wlp/support/cacheline.hpp"
 
@@ -145,14 +147,18 @@ ExecReport while_general2(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
 
 /// General-3: private traversal, dynamic self-scheduling.  Each processor
 /// remembers the last position it held and replays the recurrence only over
-/// the gap to its newly claimed iteration, so hops stay close to the list
-/// length in total while keeping dynamic load balance.
+/// the gap to its newly claimed iteration.  The gaps add up: every processor
+/// still walks the list up to its last claim, so total hops approach p times
+/// the list length, as for General-2.  What the dynamic claims buy is load
+/// balance and a small overshoot past an RV exit, not fewer hops.
 template <class Cursor, class Next, class End, class Body>
 ExecReport while_general3(ThreadPool& pool, Cursor head, Next&& next, End&& is_end,
                           Body&& body, long u = std::numeric_limits<long>::max()) {
   const unsigned p = pool.size();
   detail::GeneralAccounting acc(p);
+  PerWorker<long> claims(p, 0);
   std::atomic<long> counter{0};
+  const auto cut = [&](long i) { return acc.quit.cut(i); };
 
   pool.parallel([&](unsigned vpn) {
     Cursor pt = head;
@@ -161,22 +167,28 @@ ExecReport while_general3(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
       acc.record_end(0, vpn);
       return;
     }
-    for (;;) {
-      const long i = counter.fetch_add(1, std::memory_order_relaxed);
-      if (i >= u || acc.quit.cut(i)) return;
-      while (prev < i) {
-        pt = next(pt);
-        ++acc.hops[vpn];
-        ++prev;
-        if (is_end(pt)) {
-          acc.record_end(prev, vpn);
-          return;
-        }
-      }
-      acc.run_body(body, i, pt, vpn);
-    }
+    claims[vpn] = claim_loop(
+        counter, u, kSelfSizedClaims, cut, [&](long base, long end) {
+          for (long i = base; i < end; ++i) {
+            if (i > base && cut(i)) return false;
+            while (prev < i) {
+              pt = next(pt);
+              ++acc.hops[vpn];
+              ++prev;
+              if (is_end(pt)) {
+                acc.record_end(prev, vpn);
+                return false;
+              }
+            }
+            acc.run_body(body, i, pt, vpn);
+          }
+          return true;
+        });
   });
-  return acc.finish(Method::kGeneral3, u);
+  ExecReport r = acc.finish(Method::kGeneral3, u);
+  r.claims = claims.reduce(0L, [](long a, long b) { return a + b; });
+  publish_claims(r.claims, r.started);
+  return r;
 }
 
 }  // namespace wlp

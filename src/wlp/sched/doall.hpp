@@ -9,7 +9,9 @@
 //
 // Four schedules are provided:
 //   * kDynamic      — self-scheduled from a shared counter (iterations are
-//                     therefore *issued in order*, like the Alliant FX/80).
+//                     therefore *issued in order*, like the Alliant FX/80)
+//                     through claim_loop (sched/claim.hpp): claims of a
+//                     fixed `chunk`, or self-sized claims when chunk is 0.
 //   * kStaticCyclic — iteration i goes to processor i mod p (General-2's
 //                     static assignment).
 //   * kStaticBlock  — contiguous blocks of u/p iterations per processor.
@@ -21,10 +23,12 @@
 //                     QUIT semantics are identical to kDynamic.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 
 #include "wlp/obs/obs.hpp"
+#include "wlp/sched/claim.hpp"
 #include "wlp/sched/thread_pool.hpp"
 #include "wlp/support/cacheline.hpp"
 
@@ -43,7 +47,9 @@ enum class Sched { kDynamic, kStaticCyclic, kStaticBlock, kGuided };
 
 struct DoallOptions {
   Sched sched = Sched::kDynamic;
-  long chunk = 1;       ///< claim granularity for kDynamic; floor for kGuided
+  long chunk = kSelfSizedClaims;  ///< claim granularity for kDynamic (0 =
+                                  ///< self-sized, see sched/claim.hpp; >= 1 =
+                                  ///< fixed); floor for kGuided (0 acts as 1)
   bool use_quit = true; ///< honor the QUIT (false = machines without it:
                         ///< every iteration in [lo, u) executes, as in the
                         ///< unoptimized Induction-1 of Fig. 2)
@@ -116,21 +122,17 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
     }
   };
 
-  const long chunk = opts.chunk > 0 ? opts.chunk : 1;
   switch (opts.sched) {
     case Sched::kDynamic:
       pool.parallel([&](unsigned vpn) {
-        for (;;) {
-          const long base = next.fetch_add(chunk, std::memory_order_relaxed);
-          if (base >= u || cut(base)) return;
-          ++local_claims[vpn];
-          WLP_TRACE_SCOPE("claim", base, chunk);
-          const long end = std::min(base + chunk, u);
-          for (long i = base; i < end; ++i) {
-            if (cut(i) && i > base) return;  // chunk interior: stop early
-            run_iter(i, vpn);
-          }
-        }
+        local_claims[vpn] =
+            claim_loop(next, u, opts.chunk, cut, [&](long base, long end) {
+              for (long i = base; i < end; ++i) {
+                if (cut(i) && i > base) return false;  // claim interior: stop
+                run_iter(i, vpn);
+              }
+              return true;
+            });
       });
       break;
     case Sched::kGuided:
@@ -140,7 +142,7 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
           long take;
           do {
             if (base >= u || cut(base)) return;
-            take = std::max(chunk, (u - base) / static_cast<long>(p));
+            take = std::max({1L, opts.chunk, (u - base) / static_cast<long>(p)});
           } while (!next.compare_exchange_weak(base, base + take,
                                                std::memory_order_relaxed));
           ++local_claims[vpn];
@@ -189,8 +191,7 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
   // Aggregated once per DOALL (never per iteration): the claim-contention
   // and overshoot figures the cost model's schedule choice is judged by.
   WLP_OBS_COUNT("wlp.doall.runs", 1);
-  WLP_OBS_COUNT("wlp.doall.claims", r.claims);
-  WLP_OBS_COUNT("wlp.doall.started", r.started);
+  publish_claims(r.claims, r.started);
   WLP_OBS_HIST("wlp.doall.overshoot", std::max(0L, r.started - r.trip));
   return r;
 }

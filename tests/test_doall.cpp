@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -60,7 +62,8 @@ TEST_P(DoallAllSchedules, QuitTripIsExactAndPrefixComplete) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schedules, DoallAllSchedules,
-    ::testing::Values(DoallSchedCase{Sched::kDynamic, 1, "dyn1"},
+    ::testing::Values(DoallSchedCase{Sched::kDynamic, kSelfSizedClaims, "dyn_self"},
+                      DoallSchedCase{Sched::kDynamic, 1, "dyn1"},
                       DoallSchedCase{Sched::kDynamic, 16, "dyn16"},
                       DoallSchedCase{Sched::kStaticCyclic, 1, "cyclic"},
                       DoallSchedCase{Sched::kStaticBlock, 1, "block"},
@@ -177,6 +180,9 @@ TEST(DoallQuit, UseQuitFalseExecutesEverything) {
 }
 
 TEST(DoallQuit, UseQuitTrueCutsOvershoot) {
+  // Default options: self-sized claims start at one iteration and every
+  // claim still checks the QUIT per iteration, so an early exit cuts the
+  // range.
   ThreadPool pool(4);
   const QuitResult qr = doall_quit(pool, 0, 100000, [](long i, unsigned) {
     return i == 10 ? IterAction::kExit : IterAction::kContinue;
@@ -195,6 +201,95 @@ TEST(DoallQuit, NonZeroLowerBound) {
   });
   EXPECT_EQ(qr.trip, 200);
   EXPECT_EQ(sum.load(), (100 + 199) * 100 / 2);
+}
+
+// Self-sized claims (DoallOptions{} default, sched/claim.hpp).  Bounds on
+// claim counts are loose: claim sizes follow the clock, and the suite also
+// runs under TSan on an oversubscribed host.
+
+/// Deterministic RV exits: iteration i exits (before or after its work)
+/// when a hash of (seed, i) lands in a 1-in-`rate` bucket.
+IterAction random_exit(std::uint64_t seed, long i, long rate) {
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(i);
+  x ^= x >> 31;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 29;
+  if (x % static_cast<std::uint64_t>(rate) != 0) return IterAction::kContinue;
+  return (x >> 40) & 1 ? IterAction::kExitAfter : IterAction::kExit;
+}
+
+/// Spin for about `us` microseconds (an iteration far above a claim's cost).
+void spin_us(long us) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(DoallSelfSized, RandomExitsKeepTripAndExecuteOnce) {
+  const long n = 20000;
+  for (unsigned p : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(p);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      long expect = n;
+      for (long i = 0; i < n && expect == n; ++i) {
+        const IterAction a = random_exit(seed, i, 4000);
+        if (a == IterAction::kExit) expect = i;
+        if (a == IterAction::kExitAfter) expect = i + 1;
+      }
+      std::vector<std::atomic<int>> hits(n);
+      const QuitResult qr = doall_quit(pool, 0, n, [&](long i, unsigned) {
+        hits[static_cast<std::size_t>(i)]++;
+        return random_exit(seed, i, 4000);
+      });
+      ASSERT_EQ(qr.trip, expect) << "p=" << p << " seed=" << seed;
+      long started = 0;
+      for (long i = 0; i < n; ++i) {
+        const int h = hits[static_cast<std::size_t>(i)].load();
+        if (i < expect) {
+          ASSERT_EQ(h, 1) << "p=" << p << " iteration " << i;
+        }
+        ASSERT_LE(h, 1);
+        started += h;
+      }
+      EXPECT_EQ(started, qr.started);
+    }
+  }
+}
+
+TEST(DoallSelfSized, CheapLoopClaimsFarFewerThanIterations) {
+  ThreadPool pool(4);
+  const long n = 1L << 18;
+  std::vector<std::uint64_t> sink(4 * 8, 0);
+  const QuitResult qr = doall_quit(pool, 0, n, [&](long i, unsigned vpn) {
+    sink[vpn * 8] += static_cast<std::uint64_t>(i);
+    return IterAction::kContinue;
+  });
+  EXPECT_EQ(qr.started, n);
+  EXPECT_GT(qr.claims, 0);
+  EXPECT_LT(qr.claims, n / 64);
+}
+
+TEST(DoallSelfSized, SlowBodyStaysNearOneIterationPerClaim) {
+  ThreadPool pool(4);
+  const long n = 120;
+  const QuitResult qr = doall_quit(pool, 0, n, [](long, unsigned) {
+    spin_us(50);
+    return IterAction::kContinue;
+  });
+  EXPECT_EQ(qr.started, n);
+  // 50 us per iteration is above the claim target, so claims never grow.
+  EXPECT_GE(qr.claims, n * 3 / 4);
+}
+
+TEST(DoallSelfSized, ExplicitChunkKeepsFixedClaims) {
+  ThreadPool pool(4);
+  const long n = 1000;
+  DoallOptions opts;
+  opts.chunk = 16;
+  const QuitResult qr = doall_quit(
+      pool, 0, n, [](long, unsigned) { return IterAction::kContinue; }, opts);
+  EXPECT_EQ(qr.started, n);
+  EXPECT_EQ(qr.claims, (n + 15) / 16);
 }
 
 TEST(QuitBound, FetchMinSemantics) {

@@ -321,6 +321,11 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                         pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
+  // Static issue: every worker deterministically participates in every
+  // strip, so the warm run first-touches every worker's lazily allocated
+  // shadow segment (a self-sized dynamic claim may leave a worker idle).
+  SpecOptions opts;
+  opts.doall.sched = Sched::kStaticCyclic;
   auto run_once = [&] {
     return strip_speculative_while(
         pool, n, strip, std::span<SpecTarget* const>(targets, 1),
@@ -329,7 +334,7 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
           arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; });
+        [&](long, long end) { return end; }, opts);
   };
 
   const StripSpecReport warm = run_once();

@@ -435,8 +435,9 @@ TEST(PDCacheDirtyBlocks, DenseStampsAndSparseBackupAgreeOnUnits) {
   SparseSpecArray<double> sparse(data, pool.size(), 256, false);
   SpecTarget* ts = &sparse;
   EXPECT_EQ(ts->dirty_block_count(), 0);
+  // Stride 503: 129 * 503 = 64887 keeps every index inside the 2^16 array.
   for (long i = 0; i < 130; ++i)
-    sparse.set(0, i, static_cast<std::size_t>(i * 509), 1.0);
+    sparse.set(0, i, static_cast<std::size_t>(i * 503), 1.0);
   // 130 distinct recorded locations -> ceil(130/64) = 3 blocks-equivalent.
   EXPECT_EQ(ts->dirty_block_count(), 3);
   ts->reset_marks();

@@ -337,6 +337,11 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
                       pool.size(), true, a.shared_index());
   SpecTarget* targets[] = {&a, &b};
 
+  // Static issue: every worker deterministically participates in every
+  // strip, so the warm run first-touches every worker's lazily allocated
+  // shadow segment (a self-sized dynamic claim may leave a worker idle).
+  SpecOptions opts;
+  opts.doall.sched = Sched::kStaticCyclic;
   auto run_once = [&] {
     return strip_speculative_while(
         pool, n, strip, std::span<SpecTarget* const>(targets, 2),
@@ -347,7 +352,7 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
           b.set(vpn, i, static_cast<std::size_t>(i), 2.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; });
+        [&](long, long end) { return end; }, opts);
   };
 
   // Two warm-up rounds: the second covers a worker that sat out the first

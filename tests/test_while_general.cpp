@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -120,7 +122,8 @@ TEST(GeneralHops, General2TraversesPerProcessorGeneral13CooperateOrReplay) {
   EXPECT_EQ(g1.dispatcher_steps, n);
   // General-2: every processor walks the whole list.
   EXPECT_EQ(g2.dispatcher_steps, n * 4);
-  // General-3: replay keeps total hops near one walk per processor at most.
+  // General-3: every processor replays the list up to its last claim, so
+  // hops lie between one walk and one walk per processor.
   EXPECT_GE(g3.dispatcher_steps, n - 1);
   EXPECT_LE(g3.dispatcher_steps, n * 4);
 }
@@ -155,6 +158,104 @@ TEST(GeneralMethodsUpperBound, RespectsU) {
       100);
   EXPECT_EQ(r.trip, 100);
   EXPECT_EQ(runs.load(), 100);
+}
+
+// General-3's self-sized claims (sched/claim.hpp).  Bounds on claim counts
+// are loose: claim sizes follow the clock, and the suite also runs under
+// TSan on an oversubscribed host.
+
+/// Deterministic RV exits: iteration i exits (before or after its work)
+/// when a hash of (seed, i) lands in a 1-in-`rate` bucket.
+IterAction random_exit(std::uint64_t seed, long i, long rate) {
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(i);
+  x ^= x >> 31;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 29;
+  if (x % static_cast<std::uint64_t>(rate) != 0) return IterAction::kContinue;
+  return (x >> 40) & 1 ? IterAction::kExitAfter : IterAction::kExit;
+}
+
+TEST(GeneralSelfSized, RandomExitsKeepTripAndExecuteOnce) {
+  const long n = 20000;
+  ChainFixture chain(n);
+  for (unsigned p : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(p);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      long expect = n;
+      for (long i = 0; i < n && expect == n; ++i) {
+        const IterAction a = random_exit(seed, i, 4000);
+        if (a == IterAction::kExit) expect = i;
+        if (a == IterAction::kExitAfter) expect = i + 1;
+      }
+      std::vector<std::atomic<int>> hits(n);
+      const ExecReport r = while_general3(
+          pool, chain.head(), chain.next_fn(), &ChainFixture::is_end,
+          [&](long i, long cursor, unsigned) {
+            EXPECT_EQ(i, cursor);
+            hits[static_cast<std::size_t>(i)]++;
+            return random_exit(seed, i, 4000);
+          });
+      ASSERT_EQ(r.trip, expect) << "p=" << p << " seed=" << seed;
+      long started = 0;
+      for (long i = 0; i < n; ++i) {
+        const int h = hits[static_cast<std::size_t>(i)].load();
+        if (i < expect) {
+          ASSERT_EQ(h, 1) << "p=" << p << " iteration " << i;
+        }
+        ASSERT_LE(h, 1);
+        started += h;
+      }
+      EXPECT_EQ(started, r.started);
+    }
+  }
+}
+
+TEST(GeneralSelfSized, CheapListClaimsFarFewerThanIterations) {
+  ThreadPool pool(4);
+  const long n = 1L << 18;
+  ChainFixture chain(n);
+  std::atomic<long> runs{0};
+  const ExecReport r = while_general3(
+      pool, chain.head(), chain.next_fn(), &ChainFixture::is_end,
+      [&](long, long, unsigned) {
+        runs.fetch_add(1, std::memory_order_relaxed);
+        return IterAction::kContinue;
+      });
+  EXPECT_EQ(r.trip, n);
+  EXPECT_EQ(runs.load(), n);
+  EXPECT_GT(r.claims, 0);
+  EXPECT_LT(r.claims, n / 64);
+}
+
+TEST(GeneralSelfSized, EarlyExitLeavesStartedSmall) {
+  ThreadPool pool(4);
+  const long n = 100000;
+  ChainFixture chain(n);
+  const ExecReport r = while_general3(
+      pool, chain.head(), chain.next_fn(), &ChainFixture::is_end,
+      [](long i, long, unsigned) {
+        return i == 10 ? IterAction::kExit : IterAction::kContinue;
+      });
+  EXPECT_EQ(r.trip, 10);
+  EXPECT_LT(r.started, 2000);
+}
+
+TEST(GeneralSelfSized, SlowBodyStaysNearOneIterationPerClaim) {
+  ThreadPool pool(4);
+  const long n = 120;
+  ChainFixture chain(n);
+  const ExecReport r = while_general3(
+      pool, chain.head(), chain.next_fn(), &ChainFixture::is_end,
+      [](long, long, unsigned) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        return IterAction::kContinue;
+      });
+  EXPECT_EQ(r.started, n);
+  // 50 us per iteration is above the claim target, so claims never grow.
+  EXPECT_GE(r.claims, n * 3 / 4);
 }
 
 }  // namespace
