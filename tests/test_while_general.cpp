@@ -31,10 +31,14 @@ struct ChainFixture {
 
 enum class Gen { k1, k2, k3 };
 
+// Printed by gtest as a raw byte dump into the test names, so every byte is
+// a value: a pointer member or padding would make the names change between
+// builds and runs.
 struct GeneralCase {
   Gen which;
-  const char* name;
+  char name[12];
 };
+static_assert(sizeof(GeneralCase) == 16, "GeneralCase must have no padding");
 
 class GeneralMethods : public ::testing::TestWithParam<GeneralCase> {
  protected:
