@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <functional>
 #include <limits>
@@ -307,7 +306,18 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
           while (low < u && done[static_cast<std::size_t>(low)]) ++low;
           break;
         }
-        const IterAction act = body(i, vpn);
+        IterAction act;
+        try {
+          act = body(i, vpn);
+        } catch (...) {
+          // The run is abandoned (Section 5.1) and iteration i never
+          // completes, so `low` cannot pass it: QUIT at i and wake every
+          // waiter so the pool can join and rethrow.
+          quit.quit(i);
+          { std::lock_guard lock(mu); }
+          cv.notify_all();
+          throw;
+        }
         if (act == IterAction::kExit) quit.quit(i);
         if (act == IterAction::kExitAfter) quit.quit(i + 1);
 
@@ -360,9 +370,9 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
 }
 
 /// Windowed execution of a loop whose accesses are NOT proven independent:
-/// Section 8.2's scheduler combined with Section 5's speculation.  The
-/// window bounds stamp memory during the speculative run; the PD analysis
-/// (trip-filtered) then validates it like any other speculative execution.
+/// Section 8.2's scheduler combined with Section 5's speculation.  One
+/// spec_round whose parallel run is sliding_window_while: the window bounds
+/// stamp memory during the run, the round validates it like any other.
 ///
 /// `body(i, vpn) -> IterAction` must route accesses through the registered
 /// targets (begin_iteration first); `run_sequential() -> trip` is the
@@ -371,18 +381,9 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
 template <class Body, class SeqRun>
 WindowReport sliding_window_speculative_while(
     ThreadPool& pool, long u, std::span<SpecTarget* const> targets,
-    Body&& body, SeqRun&& run_sequential, WindowOptions wopts = {},
-    bool undo_in_parallel = true) {
+    Body&& body, SeqRun&& run_sequential, WindowOptions wopts = {}) {
   WLP_TRACE_SCOPE("window.spec", u, wopts.window);
-  if (wopts.verdict_cache != nullptr)
-    for (SpecTarget* t : targets) t->enable_access_signatures(true);
   SpecTransaction txn(targets);
-  double checkpoint_ns = 0;
-  {
-    const auto cp0 = std::chrono::steady_clock::now();
-    txn.begin(&pool);
-    checkpoint_ns = detail::spec_ns_since(cp0);
-  }
   // Feed the budget controller the backups' MEASURED footprint (Section 8.2
   // against real bytes): sparse targets grow as locations are touched, so
   // the window shrinks when the backup — not a guess — nears the budget.
@@ -400,74 +401,17 @@ WindowReport sliding_window_speculative_while(
   if (wopts.controller == nullptr) wopts.controller = &ctl;
   txn.set_footprint_listener(wopts.controller);
 
-  bool failed = false;
   WindowReport wr;
-  try {
-    wr = sliding_window_while(pool, u, body, wopts);
-  } catch (...) {
-    failed = true;  // Section 5.1: exception == invalid parallel execution
-    WLP_OBS_COUNT("wlp.spec.exceptions", 1);
-  }
-  wr.exec.method = Method::kSlidingWindow;
-  wr.exec.used_checkpoint = true;
-  wr.exec.used_stamps = true;
-  wr.exec.checkpoint_ns = checkpoint_ns;
-
-  wr.exec.shadow_marks = txn.marks();
-  WLP_OBS_COUNT("wlp.pd.marks", wr.exec.shadow_marks);
-
-  if (txn.overflowed()) {
-    wr.exec.backup_overflow = true;
-    failed = true;
-    WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-  }
-
-  if (!failed) {
-    WLP_TRACE_SCOPE("pd.analyze", wr.exec.trip, 0);
-    for (SpecTarget* t : targets) {
-      if (!t->shadowed()) continue;
-      wr.exec.pd_tested = true;
-      bool hit = false;
-      const PDVerdict v = pdcache::analyze_with_cache(
-          wopts.verdict_cache, *t, pool, /*base=*/0, wr.exec.trip, &hit);
-      if (wopts.verdict_cache != nullptr) {
-        ++wr.exec.verdict_probes;
-        if (hit) ++wr.exec.verdict_hits;
-      }
-      if (!v.fully_parallel()) {
-        wr.exec.pd_passed = false;
-        failed = true;
-      }
-    }
-    if (wr.exec.pd_tested)
-      WLP_OBS_COUNT(wr.exec.pd_passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail",
-                    1);
-  }
-
-  if (failed) {
-    if (wopts.verdict_cache != nullptr) wopts.verdict_cache->invalidate_all();
-    WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
-    const auto ra0 = std::chrono::steady_clock::now();
-    txn.restore_all(&pool);
-    wr.exec.undo_ns = detail::spec_ns_since(ra0);
-    wr.exec.reexecuted_sequentially = true;
-    wr.exec.trip = run_sequential();
-    // The sequential rerun redefines the trip; the overshoot (speculative
-    // bodies at or past it, all rolled back by the restore) must be
-    // recomputed against it, not left at the abandoned speculative value.
-    wr.exec.overshot = std::max(0L, wr.exec.started - wr.exec.trip);
-    assert(wr.exec.trip >= 0);
-    assert(wr.exec.overshot <= wr.exec.started);
-    return wr;
-  }
-
-  {
-    const auto ud0 = std::chrono::steady_clock::now();
-    wr.exec.undone_writes +=
-        txn.undo_beyond(wr.exec.trip, undo_in_parallel ? &pool : nullptr);
-    wr.exec.undo_ns = detail::spec_ns_since(ud0);
-  }
-  WLP_OBS_HIST("wlp.spec.undo_writes", wr.exec.undone_writes);
+  ExecReport r;
+  r.method = Method::kSlidingWindow;
+  spec_round(
+      pool, txn, targets, 0, u,
+      [&] {
+        wr = sliding_window_while(pool, u, body, wopts);
+        return QuitResult{wr.exec.trip, wr.exec.started, wr.claims};
+      },
+      [&](long, long) { return run_sequential(); }, wopts.verdict_cache, r);
+  wr.exec = r;
   return wr;
 }
 

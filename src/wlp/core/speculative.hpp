@@ -3,13 +3,11 @@
 //
 // The compiler (or the user, through this API) cannot prove the remainder
 // independent, so the loop runs speculatively as a DOALL with the PD test's
-// shadow marking woven into every access.  After the run:
-//   * the last valid iteration (trip) is recovered from the QUIT minima,
-//   * the PD analysis — filtered by trip, so overshot iterations' marks are
-//     ignored — decides whether the parallel execution was valid,
-//   * on success, overshot writes are undone via the time-stamps,
-//   * on failure (or an exception during the run, Section 5.1), all state is
-//     restored from the checkpoint and the loop re-executes sequentially.
+// shadow marking woven into every access.  spec_round() below is the one
+// speculation round — checkpoint, run, trip-filtered PD test, then undo of
+// the overshoot or a full restore and sequential re-run — that every
+// checkpointing driver (this file, speculative_strips.hpp, sliding_window.hpp,
+// strategies.hpp) calls.
 //
 // All targets of one loop run under ONE SpecTransaction (txn.hpp): one
 // fused checkpoint pass, one fused undo pass, one set of wlp.undo.* obs
@@ -17,6 +15,7 @@
 // The SpecTarget interface itself lives in spec_target.hpp.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <span>
@@ -176,21 +175,162 @@ class SpecArray final : public SpecTarget {
 
 struct SpecOptions {
   DoallOptions doall{};
-  bool undo_in_parallel = true;
   /// Memory budget for the transaction's measured footprint (0 = none).
   /// The strip driver adapts its strip length against it — halving the next
   /// strip when the fused memory_bytes() poll crosses half the budget,
   /// growing back additively while comfortable — so callers stop wiring
   /// per-target byte probes by hand; the drivers ask the transaction.
   std::size_t memory_budget = 0;
-  /// Optional cross-strip verdict memoization (pd/verdict_cache.hpp).  The
-  /// drivers enable signature accumulation on every target, consult the
-  /// cache before each PD analysis, and invalidate it on misspeculation or
+  /// Optional cross-strip verdict memoization (pd/verdict_cache.hpp).  Each
+  /// round enables signature accumulation on every target, consults the
+  /// cache before each PD analysis, and invalidates it on misspeculation or
   /// a footprint flip.  nullptr = always run the full analysis.
   pdcache::VerdictCache* verdict_cache = nullptr;
 };
 
-/// Run a WHILE loop speculatively in parallel over [0, u).
+/// What one speculation round hands back to its driver.
+struct SpecRound {
+  bool passed = false;  ///< the parallel run was valid and is committed
+  long trip = 0;        ///< QUIT trip, or the sequential re-run's on failure
+  long started = 0;     ///< speculative bodies the round executed
+  long claims = 0;      ///< scheduler grabs (QuitResult::claims)
+  std::size_t pinned_bytes = 0;  ///< footprint polled after the parallel run
+};
+
+/// One speculation round over [base, end) — the Section 5 sequence every
+/// checkpointing driver shares (DESIGN.md §12):
+///
+///   checkpoint -> run() -> marks and footprint poll -> overflow check ->
+///   footprint-flip check -> PD / verdict-cache probe of every shadowed
+///   target (trip-filtered, relative to `base`).
+///
+/// The round FAILS on an exception from run() (Section 5.1), a backup
+/// overflow, a trip below `stamped_from` (those iterations wrote unstamped,
+/// Section 8.1), or a PD miss: the verdict cache is dropped, every target is
+/// restored in full and `run_sequential(base, end) -> trip` re-runs the
+/// range.  A passed round undoes the overshoot when the trip falls inside
+/// [base, end) and otherwise commits.  Either way the round adds its phase
+/// times, marks and counts to `r`, sets r.trip, and charges
+/// max(0, started - (trip - base)) to r.overshot.
+///
+/// `run() -> QuitResult` is the speculative parallel execution of the range;
+/// as a template parameter its body stays inlined in the driver's DOALL.
+template <class Run, class SeqRun>
+SpecRound spec_round(ThreadPool& pool, SpecTransaction& txn,
+                     std::span<SpecTarget* const> targets, long base, long end,
+                     Run&& run, SeqRun&& run_sequential,
+                     pdcache::VerdictCache* cache, ExecReport& r,
+                     long stamped_from = 0) {
+  WLP_TRACE_SCOPE("spec.round", end - base, targets.size());
+  WLP_OBS_COUNT("wlp.spec.rounds", 1);
+  r.used_checkpoint = true;
+  r.used_stamps = true;
+  if (cache != nullptr)
+    for (SpecTarget* t : targets) t->enable_access_signatures(true);
+  const long footprint0 = txn.footprint_epochs();
+  {
+    WLP_TRACE_SCOPE("spec.checkpoint", end - base, 0);
+    const auto t0 = std::chrono::steady_clock::now();
+    txn.begin(&pool);
+    r.checkpoint_ns += detail::spec_ns_since(t0);
+  }
+
+  SpecRound out;
+  bool failed = false;
+  try {
+    const QuitResult qr = run();
+    out.trip = qr.trip;
+    out.started = qr.started;
+    out.claims = qr.claims;
+  } catch (...) {
+    failed = true;
+    WLP_OBS_COUNT("wlp.spec.exceptions", 1);
+  }
+
+  // Marks are counted in per-worker counters during the run and folded here,
+  // off the hot path.  The backups are at their fullest right after the
+  // parallel section, so one fused poll is the round's measured peak.
+  const long marks = txn.marks();
+  r.shadow_marks += marks;
+  WLP_OBS_COUNT("wlp.pd.marks", marks);
+  out.pinned_bytes = txn.memory_bytes();
+  r.peak_spec_bytes = std::max(r.peak_spec_bytes, out.pinned_bytes);
+
+  // A sparse backup that hit capacity dropped writes: the run is incomplete
+  // whatever the PD test says (the backup still restores the exact pre-loop
+  // state, because overflowing writers skipped their data store too).
+  if (txn.overflowed()) {
+    r.backup_overflow = true;
+    failed = true;
+    WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
+  }
+  // A backend flip (AdaptiveSpecArray hash <-> dense) changes the write
+  // density the signatures embed: drop memoized verdicts from before it.
+  if (cache != nullptr && txn.footprint_epochs() != footprint0)
+    cache->invalidate_all();
+  if (!failed && out.trip < stamped_from) {
+    failed = true;
+    WLP_OBS_COUNT("wlp.spec.abandoned", 1);
+  }
+
+  if (!failed) {
+    WLP_TRACE_SCOPE("pd.analyze", out.trip, 0);
+    bool tested = false, passed = true;
+    for (SpecTarget* t : targets) {
+      if (!t->shadowed()) continue;
+      tested = true;
+      bool hit = false;
+      const PDVerdict v =
+          pdcache::analyze_with_cache(cache, *t, pool, base, out.trip, &hit);
+      if (cache != nullptr) {
+        ++r.verdict_probes;
+        if (hit) ++r.verdict_hits;
+      }
+      if (!v.fully_parallel()) passed = false;
+    }
+    if (tested) {
+      r.pd_tested = true;
+      r.pd_passed = r.pd_passed && passed;
+      failed = !passed;
+      WLP_OBS_COUNT(passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail", 1);
+    }
+  }
+
+  if (failed) {
+    // Misspeculation: the loop's behaviour diverged from the memoized
+    // patterns.  The restore is a full backup->data copy, never a
+    // stamp-filtered undo, so unstamped writes are rolled back too.
+    if (cache != nullptr) cache->invalidate_all();
+    WLP_TRACE_SCOPE("spec.seq_reexec", end - base, 0);
+    WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
+    const auto t0 = std::chrono::steady_clock::now();
+    txn.restore_all(&pool);
+    r.undo_ns += detail::spec_ns_since(t0);
+    r.reexecuted_sequentially = true;
+    out.trip = run_sequential(base, end);
+  } else if (out.trip < end) {
+    WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", out.trip, 0);
+    const auto t0 = std::chrono::steady_clock::now();
+    const long undone = txn.undo_beyond(out.trip, &pool);
+    r.undo_ns += detail::spec_ns_since(t0);
+    r.undone_writes += undone;
+    undo_scope.args(static_cast<std::uint64_t>(out.trip),
+                    static_cast<std::uint64_t>(undone));
+    WLP_OBS_HIST("wlp.spec.undo_writes", undone);
+  } else {
+    txn.discard();
+  }
+
+  out.passed = !failed;
+  const long overshot = std::max(0L, out.started - (out.trip - base));
+  r.trip = out.trip;
+  r.started += out.started;
+  r.overshot += overshot;
+  WLP_OBS_HIST("wlp.spec.overshoot", overshot);
+  return out;
+}
+
+/// Run a WHILE loop speculatively in parallel over [0, u): one spec_round.
 ///
 /// `body(i, vpn) -> IterAction` is the instrumented parallel body: it must
 /// route every access to the registered targets through their get/set and
@@ -203,101 +343,11 @@ ExecReport speculative_while(ThreadPool& pool, long u,
                              SeqRun&& run_sequential, SpecOptions opts = {}) {
   ExecReport r;
   r.method = Method::kInduction2;
-  r.used_checkpoint = true;
-  r.used_stamps = true;
-  WLP_TRACE_SCOPE("spec.round", u, targets.size());
-  WLP_OBS_COUNT("wlp.spec.rounds", 1);
-
-  if (opts.verdict_cache != nullptr)
-    for (SpecTarget* t : targets) t->enable_access_signatures(true);
-
   SpecTransaction txn(targets);
-  {
-    WLP_TRACE_SCOPE("spec.checkpoint", u, 0);
-    const auto cp0 = std::chrono::steady_clock::now();
-    txn.begin(&pool);
-    r.checkpoint_ns = detail::spec_ns_since(cp0);
-  }
-
-  bool failed = false;
-  QuitResult qr{};
-  try {
-    qr = doall_quit(pool, 0, u, body, opts.doall);
-  } catch (...) {
-    // Section 5.1: treat exceptions like an invalid parallel execution.
-    failed = true;
-    WLP_OBS_COUNT("wlp.spec.exceptions", 1);
-  }
-
-  // Instrumentation volume for the cost model: accessors count marks in
-  // plain per-worker counters during the run; fold them here, off the hot
-  // path, regardless of whether the speculation succeeds.
-  r.shadow_marks = txn.marks();
-  WLP_OBS_COUNT("wlp.pd.marks", r.shadow_marks);
-  // Backups are at their fullest right after the parallel section: one
-  // fused poll is the run's measured peak (same signal the sliding-window
-  // controller budgets against).
-  r.peak_spec_bytes = txn.memory_bytes();
-
-  // A sparse backup that hit capacity dropped writes: the parallel execution
-  // is incomplete regardless of what the PD test would say.  Treat it like a
-  // failed speculation (the backup still restores the exact pre-loop state,
-  // because overflowing writers skipped their data store too).
-  if (txn.overflowed()) {
-    r.backup_overflow = true;
-    failed = true;
-    WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-  }
-
-  if (!failed) {
-    r.trip = qr.trip;
-    r.started = qr.started;
-    r.overshot = std::max(0L, qr.started - qr.trip);
-    WLP_OBS_HIST("wlp.spec.overshoot", r.overshot);
-    WLP_TRACE_SCOPE("pd.analyze", qr.trip, 0);
-    for (SpecTarget* t : targets) {
-      if (!t->shadowed()) continue;
-      r.pd_tested = true;
-      bool hit = false;
-      const PDVerdict v = pdcache::analyze_with_cache(
-          opts.verdict_cache, *t, pool, /*base=*/0, qr.trip, &hit);
-      if (opts.verdict_cache != nullptr) {
-        ++r.verdict_probes;
-        if (hit) ++r.verdict_hits;
-      }
-      if (!v.fully_parallel()) {
-        r.pd_passed = false;
-        failed = true;
-      }
-    }
-    if (r.pd_tested)
-      WLP_OBS_COUNT(r.pd_passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail", 1);
-  }
-
-  if (failed) {
-    // Misspeculation: whatever the memoized patterns were, the loop's
-    // behavior just diverged from them — drop the table.
-    if (opts.verdict_cache != nullptr) opts.verdict_cache->invalidate_all();
-    WLP_TRACE_SCOPE("spec.seq_reexec", u, 0);
-    WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
-    const auto ra0 = std::chrono::steady_clock::now();
-    txn.restore_all(&pool);
-    r.undo_ns = detail::spec_ns_since(ra0);
-    r.reexecuted_sequentially = true;
-    r.trip = run_sequential();
-    return r;
-  }
-
-  {
-    WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", qr.trip, 0);
-    const auto ud0 = std::chrono::steady_clock::now();
-    r.undone_writes +=
-        txn.undo_beyond(qr.trip, opts.undo_in_parallel ? &pool : nullptr);
-    r.undo_ns = detail::spec_ns_since(ud0);
-    undo_scope.args(static_cast<std::uint64_t>(qr.trip),
-                    static_cast<std::uint64_t>(r.undone_writes));
-  }
-  WLP_OBS_HIST("wlp.spec.undo_writes", r.undone_writes);
+  spec_round(
+      pool, txn, targets, 0, u,
+      [&] { return doall_quit(pool, 0, u, body, opts.doall); },
+      [&](long, long) { return run_sequential(); }, opts.verdict_cache, r);
   return r;
 }
 

@@ -7,15 +7,11 @@
 // this situation, the best solution is probably to strip-mine the loop,
 // and to run the PD test on each strip."
 //
-// strip_speculative_while() therefore commits the loop strip by strip:
-//
-//   for each strip [base, base+s):
-//     checkpoint -> speculative DOALL -> PD analysis filtered by the
-//     strip's trip;
-//     on success: undo the strip's overshoot, COMMIT, continue;
-//     on failure: restore the strip, execute it sequentially (which also
-//     re-evaluates the terminator against committed state), then continue
-//     speculating on the next strip.
+// strip_speculative_while() therefore runs one spec_round() per strip
+// [base, base+s): a passed strip commits (undoing its overshoot if the loop
+// ends inside it), a failed strip is restored and executed sequentially —
+// which also re-evaluates the terminator against committed state — and
+// speculation resumes on the next strip.
 //
 // Because each strip's exit decisions are validated before the next strip
 // starts, a dependence-corrupted terminator can mislead the execution by
@@ -59,20 +55,11 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
                                         SpecOptions opts = {}) {
   StripSpecReport out;
   out.exec.method = Method::kStripMined;
-  out.exec.used_checkpoint = true;
-  out.exec.used_stamps = true;
   if (strip <= 0) strip = u;
 
   // ONE transaction for the whole strip sequence: the chunk maps are built
   // once here, so every strip's begin/undo/restore allocates nothing.
   SpecTransaction txn(targets);
-
-  // Cross-strip verdict memoization: a steady-state loop touches the same
-  // elements at the same strip-relative iterations every strip, so after
-  // the first strip the PD analysis is one summary fold + one cache probe.
-  if (opts.verdict_cache != nullptr)
-    for (SpecTarget* t : targets) t->enable_access_signatures(true);
-  long footprint_seen = txn.footprint_epochs();
 
   long cur_strip = strip;
   out.final_strip = cur_strip;
@@ -83,38 +70,20 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
     WLP_TRACE_SCOPE("strip", base, end - base);
     WLP_OBS_COUNT("wlp.strip.runs", 1);
 
-    {
-      const auto cp0 = std::chrono::steady_clock::now();
-      // Fused reset (O(1) epoch bumps) + ONE parallel checkpoint pass over
-      // every target; no allocation in steady state.
-      txn.begin(&pool);
-      out.exec.checkpoint_ns += detail::spec_ns_since(cp0);
+    const SpecRound round = spec_round(
+        pool, txn, targets, base, end,
+        [&] { return doall_quit(pool, base, end, body, opts.doall); },
+        run_strip_sequential, opts.verdict_cache, out.exec);
+    out.claims += round.claims;
+    if (!round.passed) {
+      ++out.strips_failed;
+      WLP_OBS_COUNT("wlp.strip.failures", 1);
     }
 
-    bool failed = false;
-    QuitResult qr{};
-    try {
-      qr = doall_quit(pool, base, end, body, opts.doall);
-      out.claims += qr.claims;
-    } catch (...) {
-      failed = true;
-    }
-
-    // Per-strip instrumentation volume (accessor counters reset with the
-    // strip's reset_marks() above, so this is exactly this strip's marks).
-    const long strip_marks = txn.marks();
-    out.exec.shadow_marks += strip_marks;
-    WLP_OBS_COUNT("wlp.pd.marks", strip_marks);
-
-    // Transaction-aware strip control: the backups are at their fullest
-    // right after the strip's parallel section, so poll the fused footprint
-    // here — before commit/restore clears it — and resize the NEXT strip
-    // against the budget.  This retires the hand-wired per-target byte
-    // probes callers used to need: the driver asks the transaction.
+    // Resize the NEXT strip against the budget from the footprint the round
+    // polled while the backups were at their fullest.
     if (opts.memory_budget != 0) {
-      const std::size_t pinned = txn.memory_bytes();
-      out.exec.peak_spec_bytes = std::max(out.exec.peak_spec_bytes, pinned);
-      if (pinned * 2 > opts.memory_budget) {
+      if (round.pinned_bytes * 2 > opts.memory_budget) {
         const long before = cur_strip;
         cur_strip = std::max(1L, cur_strip / 2);
         if (cur_strip != before) ++out.strip_shrinks;
@@ -124,83 +93,9 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
       out.final_strip = cur_strip;
     }
 
-    // Backup overflow inside the strip = incomplete parallel execution:
-    // fail the strip exactly like a PD miss (restore + serial re-run).
-    if (txn.overflowed()) {
-      out.exec.backup_overflow = true;
-      failed = true;
-      WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-    }
-
-    // A backend flip (AdaptiveSpecArray hash <-> dense) changes the write
-    // density the signatures embed: drop memoized verdicts from before it.
-    if (opts.verdict_cache != nullptr) {
-      const long fp = txn.footprint_epochs();
-      if (fp != footprint_seen) {
-        footprint_seen = fp;
-        opts.verdict_cache->invalidate_all();
-      }
-    }
-
-    if (!failed) {
-      for (SpecTarget* t : targets) {
-        if (!t->shadowed()) continue;
-        out.exec.pd_tested = true;
-        bool hit = false;
-        const PDVerdict v = pdcache::analyze_with_cache(
-            opts.verdict_cache, *t, pool, base, qr.trip, &hit);
-        if (opts.verdict_cache != nullptr) {
-          ++out.exec.verdict_probes;
-          if (hit) ++out.exec.verdict_hits;
-        }
-        if (!v.fully_parallel()) {
-          out.exec.pd_passed = false;
-          failed = true;
-        }
-      }
-    }
-
-    if (failed) {
-      // Misspeculation (PD miss, overflow, or an exception): the loop's
-      // behavior diverged from the memoized patterns — drop them all.
-      if (opts.verdict_cache != nullptr) opts.verdict_cache->invalidate_all();
-      ++out.strips_failed;
-      WLP_OBS_COUNT("wlp.strip.failures", 1);
-      const auto ra0 = std::chrono::steady_clock::now();
-      txn.restore_all(&pool);
-      out.exec.undo_ns += detail::spec_ns_since(ra0);
-      const long trip = run_strip_sequential(base, end);
-      out.exec.started += trip - base;
-      if (trip < end) {
-        out.exec.trip = trip;
-        out.exec.reexecuted_sequentially = true;  // at least one strip was
-        return out;
-      }
-      base = end;
-      continue;
-    }
-
-    out.exec.started += qr.started;
-    if (qr.trip < end) {  // the loop genuinely ends inside this strip
-      {
-        WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", qr.trip, 0);
-        const auto ud0 = std::chrono::steady_clock::now();
-        out.exec.undone_writes +=
-            txn.undo_beyond(qr.trip, opts.undo_in_parallel ? &pool : nullptr);
-        out.exec.undo_ns += detail::spec_ns_since(ud0);
-        undo_scope.args(static_cast<std::uint64_t>(qr.trip),
-                        static_cast<std::uint64_t>(out.exec.undone_writes));
-      }
-      WLP_OBS_HIST("wlp.spec.undo_writes", out.exec.undone_writes);
-      out.exec.trip = qr.trip;
-      out.exec.overshot += std::max(0L, qr.started - (qr.trip - base));
-      return out;
-    }
-    txn.discard();
+    if (round.trip < end) return out;  // the loop ends inside this strip
     base = end;
   }
-
-  out.exec.trip = u;
   return out;
 }
 

@@ -100,72 +100,30 @@ struct StampThreshold {
 };
 
 /// Speculative run in which the body stamps writes only for iterations >=
-/// threshold.  `body(i, vpn, stamped) -> IterAction` where `stamped` tells
-/// the body whether its writes this iteration must go through the stamped
-/// path.  If trip lands below the threshold the speculation is abandoned:
-/// full restore + sequential re-execution via `run_sequential() -> trip`.
+/// threshold: one spec_round whose stamp threshold is an extra failure
+/// cause.  `body(i, vpn, stamped) -> IterAction` where `stamped` tells the
+/// body whether its writes this iteration must go through the stamped path.
+/// If trip lands below the threshold the speculation is abandoned: full
+/// restore + sequential re-execution via `run_sequential() -> trip`.
 template <class Body, class SeqRun>
 ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold threshold,
                                 std::span<SpecTarget* const> targets, Body&& body,
                                 SeqRun&& run_sequential, SpecOptions opts = {}) {
   ExecReport r;
   r.method = Method::kInduction2;
-  r.used_checkpoint = true;
-  r.used_stamps = true;
-
   SpecTransaction txn(targets);
-  {
-    const auto cp0 = std::chrono::steady_clock::now();
-    txn.begin(&pool);
-    r.checkpoint_ns = detail::spec_ns_since(cp0);
-  }
-
-  const QuitResult qr = doall_quit(
-      pool, 0, u,
-      [&](long i, unsigned vpn) { return body(i, vpn, threshold.should_stamp(i)); },
-      opts.doall);
-
-  r.started = qr.started;
-  r.trip = qr.trip;
-  r.overshot = std::max(0L, qr.started - qr.trip);
-  r.shadow_marks = txn.marks();
-  WLP_OBS_COUNT("wlp.pd.marks", r.shadow_marks);
-  // Measured peak via the transaction (backups fullest right after the
-  // parallel section) — the same fused signal every budget-aware driver
-  // reads, replacing any per-target probing by the caller.
-  r.peak_spec_bytes = txn.memory_bytes();
-
-  bool abandon = qr.trip < threshold.value;
-  if (txn.overflowed()) {
-    r.backup_overflow = true;
-    abandon = true;
-    WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-  }
-  if (abandon) {
-    // The estimate was wrong on the short side (unstamped overshot writes
-    // exist, so selective undo is impossible) or the backup dropped writes.
-    WLP_OBS_COUNT("wlp.spec.abandoned", 1);
-    WLP_TRACE_SCOPE("spec.seq_reexec", u, 0);
-    // txn.restore_all is a FULL backup->data copy, never a stamp-filtered
-    // undo: iterations below the stamp threshold wrote unstamped.
-    const auto ra0 = std::chrono::steady_clock::now();
-    txn.restore_all(&pool);
-    r.undo_ns = detail::spec_ns_since(ra0);
-    r.reexecuted_sequentially = true;
-    r.trip = run_sequential();
-    return r;
-  }
-
-  {
-    WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", qr.trip, 0);
-    const auto ud0 = std::chrono::steady_clock::now();
-    r.undone_writes +=
-        txn.undo_beyond(qr.trip, opts.undo_in_parallel ? &pool : nullptr);
-    r.undo_ns = detail::spec_ns_since(ud0);
-    undo_scope.args(static_cast<std::uint64_t>(qr.trip),
-                    static_cast<std::uint64_t>(r.undone_writes));
-  }
-  WLP_OBS_HIST("wlp.spec.undo_writes", r.undone_writes);
+  spec_round(
+      pool, txn, targets, 0, u,
+      [&] {
+        return doall_quit(
+            pool, 0, u,
+            [&](long i, unsigned vpn) {
+              return body(i, vpn, threshold.should_stamp(i));
+            },
+            opts.doall);
+      },
+      [&](long, long) { return run_sequential(); }, opts.verdict_cache, r,
+      threshold.value);
   return r;
 }
 

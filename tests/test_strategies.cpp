@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "wlp/core/strategies.hpp"
@@ -141,6 +142,74 @@ TEST(StatsEnhanced, BadEstimateFallsBackToSequential) {
   EXPECT_EQ(r.trip, exit_at);
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : 0.0) << i;
+}
+
+TEST(StatsEnhanced, ShadowedFlowDependenceFallsBack) {
+  ThreadPool pool(4);
+  const long n = 500;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), /*run_pd_test=*/true);
+  SpecTarget* targets[] = {&arr};
+
+  // Threshold 0: every write is stamped and marked, so only the PD test can
+  // catch the a[i] = a[i-1] + 1 chain.
+  const ExecReport r = stats_enhanced_while(
+      pool, n, StampThreshold{}, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn, bool) {
+        arr.begin_iteration(vpn, i);
+        if (i == 0) return IterAction::kContinue;
+        const double prev = arr.get(vpn, static_cast<std::size_t>(i - 1));
+        arr.set(vpn, i, static_cast<std::size_t>(i), prev + 1.0);
+        return IterAction::kContinue;
+      },
+      [&] {
+        auto& d = arr.data();
+        for (long i = 1; i < n; ++i)
+          d[static_cast<std::size_t>(i)] = d[static_cast<std::size_t>(i - 1)] + 1.0;
+        return n;
+      });
+
+  EXPECT_TRUE(r.pd_tested);
+  EXPECT_FALSE(r.pd_passed);
+  EXPECT_TRUE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, n);
+  for (long i = 0; i < n; ++i)
+    ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)], static_cast<double>(i)) << i;
+}
+
+TEST(StatsEnhanced, ExceptionRestoresAndReexecutes) {
+  ThreadPool pool(4);
+  const long n = 500, throw_at = 250;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), false);
+  SpecTarget* targets[] = {&arr};
+  const StampThreshold thr = StampThreshold::from_estimate(n, 0.8);  // 400
+
+  // Section 5.1: the fault at 250 fails the round.  Iterations below the
+  // threshold wrote unstamped, so only a full restore rolls them back.
+  const ExecReport r = stats_enhanced_while(
+      pool, n, thr, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn, bool stamped) {
+        arr.begin_iteration(vpn, i);
+        if (stamped) {
+          arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+        } else {
+          arr.data()[static_cast<std::size_t>(i)] = 1.0;
+        }
+        if (i == throw_at) throw std::runtime_error("simulated fault");
+        return IterAction::kContinue;
+      },
+      [&] {
+        for (long i = 0; i < throw_at; ++i)
+          arr.data()[static_cast<std::size_t>(i)] = 1.0;
+        return throw_at;
+      });
+
+  EXPECT_TRUE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, throw_at);
+  for (long i = 0; i < n; ++i)
+    ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)], i < throw_at ? 1.0 : 0.0)
+        << i;
 }
 
 TEST(Hedge, ParallelWinsWhenSpeculationSucceeds) {

@@ -183,55 +183,6 @@ TEST(WindowTxn, FlipMidLoopShrinksWindowAndRespectsBudget) {
     ASSERT_EQ(a.data()[static_cast<std::size_t>(i)], 0.0) << i;
 }
 
-// ---- regression: stale overshoot after the sequential fallback ------------
-
-TEST(WindowReexec, OvershotRecomputedAfterSequentialFallback) {
-  // PD fails (flow dependence), the sequential rerun redefines the trip:
-  // the overshoot must be recomputed against the NEW trip, not left at the
-  // abandoned speculative value (which was 0 here — no exit fired).
-  ThreadPool pool(4);
-  const long n = 64, seq_trip = 10;
-  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
-                        pool.size(), true);
-  SpecTarget* targets[] = {&arr};
-
-  // Window of 1 serializes the speculative bodies: the PD verdict still
-  // fails (the marks record the cross-iteration read-then-write regardless
-  // of execution order), but the dependent accesses never actually race —
-  // this suite runs under TSan.
-  WindowOptions opts;
-  opts.window = 1;
-  opts.min_window = 1;
-  opts.max_window = 1;
-
-  const WindowReport wr = sliding_window_speculative_while(
-      pool, n, std::span<SpecTarget* const>(targets, 1),
-      [&](long i, unsigned vpn) {
-        arr.begin_iteration(vpn, i);
-        if (i == 0) return IterAction::kContinue;
-        const double prev = arr.get(vpn, static_cast<std::size_t>(i - 1));
-        arr.set(vpn, i, static_cast<std::size_t>(i), prev + 1.0);
-        return IterAction::kContinue;
-      },
-      [&] {
-        // The serial semantics exit early: every speculative body at or past
-        // iteration 10 was overshoot, all rolled back by the restore.
-        auto& d = arr.data();
-        for (long i = 0; i < seq_trip; ++i)
-          d[static_cast<std::size_t>(i)] = static_cast<double>(i);
-        return seq_trip;
-      },
-      opts);
-
-  EXPECT_FALSE(wr.exec.pd_passed);
-  EXPECT_TRUE(wr.exec.reexecuted_sequentially);
-  EXPECT_EQ(wr.exec.trip, seq_trip);
-  EXPECT_EQ(wr.exec.started, n);
-  EXPECT_EQ(wr.exec.overshot, n - seq_trip);  // stale value would be 0
-  EXPECT_EQ(arr.data()[5], 5.0);
-  EXPECT_EQ(arr.data()[20], 0.0);  // restored, then never re-executed
-}
-
 // ---- regression: peak missed the post-claim growth ------------------------
 
 TEST(WindowPeak, PostClaimGrowthObserved) {
