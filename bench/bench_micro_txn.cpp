@@ -265,11 +265,11 @@ int main(int argc, char** argv) {
   {
     wlp::SpecArray<double> a(std::vector<double>(kShareN, 0.0), pool.size(),
                              false);
-    wlp::SpecArray<double> b(std::vector<double>(kShareN, 0.0), pool.size(),
-                             false, a.shared_index());
+    wlp::SpecArray<double> b(std::vector<double>(kShareN, 0.0),
+                             a.shared_pattern());
     wlp::SpecTarget* pair[] = {&a, &b};
     wlp::SpecTransaction txn(std::span<wlp::SpecTarget* const>(pair, 2));
-    shared_stamp_bytes = a.shared_index()->memory_bytes();
+    shared_stamp_bytes = a.shared_pattern()->index()->memory_bytes();
     private_stamp_bytes = shared_stamp_bytes + txn.stamp_bytes_saved();
     stamp_ratio = static_cast<double>(private_stamp_bytes) /
                   static_cast<double>(shared_stamp_bytes);
@@ -304,8 +304,8 @@ int main(int argc, char** argv) {
         std::vector<double>(static_cast<std::size_t>(n), 0.0), pool.size(),
         true);
     wlp::SpecArray<double> b(
-        std::vector<double>(static_cast<std::size_t>(n), 0.0), pool.size(),
-        true, a.shared_index());
+        std::vector<double>(static_cast<std::size_t>(n), 0.0),
+        a.shared_pattern());
     wlp::SpecTarget* targets[] = {&a, &b};
     auto run_once = [&] {
       return wlp::strip_speculative_while(

@@ -73,6 +73,7 @@ PDVerdict PDSharedShadow::analyze_cell(const Cell& c, long trip) const noexcept 
   v.written_elements = written ? 1 : 0;
   v.multi_written = multi_w ? 1 : 0;
   v.exposed_read_elements = exposed ? 1 : 0;
+  v.straddled = written && !multi_w && w1 != kNone ? 1 : 0;  // w0 < trip <= w1
   // Cross-iteration flow/anti dependence: a writer and an exposed reader in
   // DIFFERENT iterations.  With two-smallest sets this is exact: if either
   // side has two distinct valid iterations, some pair differs; otherwise

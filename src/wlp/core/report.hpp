@@ -57,6 +57,9 @@ struct ExecReport {
   long verdict_hits = 0;    ///< lookups served from the cache
   double checkpoint_ns = 0;  ///< measured wall time snapshotting state (Tb)
   double undo_ns = 0;        ///< measured wall time undoing/restoring (Ta)
+  double analyze_ns = 0;     ///< measured wall time in the PD test (Td)
+  double seq_ns = 0;         ///< measured wall time re-running the loop
+                             ///< sequentially after a failed round (Tseq)
   std::size_t peak_spec_bytes = 0;  ///< max bytes the backups measurably
                                     ///< pinned (SpecTransaction memory_bytes
                                     ///< polls; 0 = driver did not poll)

@@ -16,7 +16,15 @@
 // filters marks made by iterations >= the last valid iteration:
 //   written          iff w0 < trip
 //   multiply written iff w1 < trip        (output dependence -> privatize)
+//   straddled        iff w0 < trip <= w1  (a valid AND an overshot writer)
 //   exposed-read     iff r0 < trip
+//
+// A straddled element defeats the stamp undo: its stamp names the overshot
+// writer, so the undo restores the pre-loop value and loses the valid
+// write.  fully_parallel() therefore rejects it (the round re-runs
+// sequentially); the privatized verdict ignores it, because the privatized
+// copy-out picks the last VALID writer per element and never sees the
+// overshot value.
 //
 // A cross-iteration flow/anti dependence (a *conflict*) exists iff some
 // iteration writes the element and a DIFFERENT iteration exposed-reads it.
@@ -52,6 +60,7 @@
 #include <memory>
 #include <vector>
 
+#include "wlp/mem/arena.hpp"
 #include "wlp/mem/epoch.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/thread_pool.hpp"
@@ -131,9 +140,16 @@ struct PDVerdict {
   long multi_written = 0;     ///< elements written in >= 2 distinct valid iterations
   long exposed_read_elements = 0;
   long conflicts = 0;  ///< elements both written and exposed-read
+  /// Elements written by exactly one valid iteration and by an overshot one
+  /// (w0 < trip <= w1): the stamp undo would restore them to the pre-loop
+  /// value and lose the valid write.
+  long straddled = 0;
 
-  /// Loop was fully parallel as executed (no cross-iteration dependences).
-  bool fully_parallel() const noexcept { return conflicts == 0 && multi_written == 0; }
+  /// Loop was fully parallel as executed (no cross-iteration dependences)
+  /// and the stamp undo of its overshoot is exact.
+  bool fully_parallel() const noexcept {
+    return conflicts == 0 && multi_written == 0 && straddled == 0;
+  }
   /// Loop is valid as a privatized DOALL (output deps removable).
   bool parallel_with_privatization() const noexcept { return conflicts == 0; }
 
@@ -142,6 +158,7 @@ struct PDVerdict {
     multi_written += o.multi_written;
     exposed_read_elements += o.exposed_read_elements;
     conflicts += o.conflicts;
+    straddled += o.straddled;
     return *this;
   }
 };
@@ -500,6 +517,7 @@ class PDPrivateShadow {
     v.written_elements = written ? 1 : 0;
     v.multi_written = multi_w ? 1 : 0;
     v.exposed_read_elements = exposed ? 1 : 0;
+    v.straddled = written && !multi_w && m.w1 != kEmpty ? 1 : 0;
     // Cross-iteration flow/anti dependence: a writer and an exposed reader
     // in DIFFERENT iterations (exact with two-smallest sets; see header).
     v.conflicts = (written && exposed && (multi_w || multi_r || m.w0 != m.r0))
@@ -520,20 +538,46 @@ class PDPrivateShadow {
 
 /// Per-worker access recorder: decides read exposure using a worker-local
 /// last-writer table, then forwards marks to the shadow under the worker's
-/// id.  One accessor per (array, worker); call begin_iteration before each
-/// iteration's accesses.
+/// id.  One accessor per (access pattern, worker); call begin_iteration
+/// before each iteration's accesses.
 ///
-/// The last-writer table is generation-stamped exactly like the privatized
-/// shadow's cells: reset() is an O(1) bump that invalidates every entry, so
-/// reusing the accessor across strips, run-twice passes and sliding-window
-/// retries costs neither an allocation nor an O(n) refill.  (The one O(n)
-/// zero-fill happens at construction; fills() lets tests assert it stays 1.)
+/// The last-writer table is allocated lazily, on the first access through
+/// the accessor, from mem::worker_arena(vpn): like the privatized shadow's
+/// segments it is carved and zero-filled on the marking worker's thread
+/// (first touch on that worker's node, in parallel with the other workers),
+/// and an accessor that never marks costs nothing.  Destroying the accessor
+/// returns the block to the same arena, so the next accessor of the same
+/// shape recycles it in O(1).  The table is generation-stamped exactly like
+/// the shadow's cells: reset() is an O(1) bump that invalidates every
+/// entry, so reusing the accessor across strips, run-twice passes and
+/// sliding-window retries costs neither an allocation nor an O(n) refill.
+/// fills() lets tests assert the one O(n) fill stays one.
+///
+/// A repeated write of one element by one iteration is marked once: the
+/// table already says this iteration wrote it, and the shadow's
+/// two-smallest set would not change.  Trip-aligned sibling arrays sharing
+/// one accessor (AccessPattern) rely on this to pay one mark per pattern.
 template <class Shadow>
 class PDAccessorT {
  public:
   PDAccessorT(Shadow& shadow, std::size_t n, unsigned vpn = 0)
-      : shadow_(&shadow), marker_(shadow.marker(vpn)), vpn_(vpn),
-        lw_iter_(n, 0), lw_gen_(n, 0) {}
+      : shadow_(&shadow), marker_(shadow.marker(vpn)), vpn_(vpn), n_(n) {}
+
+  PDAccessorT(PDAccessorT&& o) noexcept
+      : shadow_(o.shadow_), marker_(o.marker_), vpn_(o.vpn_), n_(o.n_),
+        iter_(o.iter_), marks_(o.marks_), fills_(o.fills_), gen_(o.gen_),
+        lw_iter_(o.lw_iter_), lw_gen_(o.lw_gen_) {
+    o.lw_iter_ = nullptr;
+    o.lw_gen_ = nullptr;
+  }
+  PDAccessorT(const PDAccessorT&) = delete;
+  PDAccessorT& operator=(const PDAccessorT&) = delete;
+  PDAccessorT& operator=(PDAccessorT&&) = delete;
+
+  ~PDAccessorT() {
+    if (lw_iter_ != nullptr)
+      mem::worker_arena(vpn_).deallocate(lw_iter_, table_bytes());
+  }
 
   /// O(1): invalidate all last-write entries and the mark counter for a
   /// fresh run.  Pairs with Shadow::reset() — every driver resets the
@@ -542,8 +586,10 @@ class PDAccessorT {
     marks_ = 0;
     marker_.rebind();
     if (++gen_ == 0) {  // 2^32 resets: clear so stale stamps cannot alias
-      std::fill(lw_gen_.begin(), lw_gen_.end(), 0u);
-      ++fills_;
+      if (lw_gen_ != nullptr) {
+        std::fill(lw_gen_, lw_gen_ + n_, 0u);
+        ++fills_;
+      }
       gen_ = 1;
     }
   }
@@ -551,12 +597,15 @@ class PDAccessorT {
   void begin_iteration(long iter) noexcept { iter_ = iter; }
 
   void on_read(std::size_t idx) {
+    if (lw_gen_ == nullptr) allocate_table();  // cold: first access
     if (lw_gen_[idx] == gen_ && lw_iter_[idx] == iter_) return;  // covered
     ++marks_;
     marker_.mark_exposed_read(iter_, idx);
   }
 
   void on_write(std::size_t idx) {
+    if (lw_gen_ == nullptr) allocate_table();  // cold: first access
+    if (lw_gen_[idx] == gen_ && lw_iter_[idx] == iter_) return;  // marked
     lw_gen_[idx] = gen_;
     lw_iter_[idx] = iter_;
     ++marks_;
@@ -571,20 +620,38 @@ class PDAccessorT {
   /// shadow_marks, LoopStatistics::marks_per_iteration).
   long marks() const noexcept { return marks_; }
 
-  /// O(n) fills performed over the accessor's lifetime (1 = construction
-  /// only; the allocation-regression tests assert resets never add more).
+  /// O(n) fills performed over the accessor's lifetime: 0 before the first
+  /// access, 1 after it (the allocation-regression tests assert resets
+  /// never add more).
   long fills() const noexcept { return fills_; }
 
  private:
+  /// One arena block: n iterations, then n generation stamps.
+  std::size_t table_bytes() const noexcept {
+    return n_ * (sizeof(long) + sizeof(std::uint32_t));
+  }
+
+  /// Arena blocks are recycled, not OS-zeroed, so the stamps are cleared
+  /// here (gen 0 is below every live generation); the iterations are only
+  /// read under a live stamp and stay raw.
+  void allocate_table() {
+    void* block = mem::worker_arena(vpn_).allocate(table_bytes());
+    lw_iter_ = static_cast<long*>(block);
+    lw_gen_ = reinterpret_cast<std::uint32_t*>(lw_iter_ + n_);
+    std::fill(lw_gen_, lw_gen_ + n_, 0u);
+    ++fills_;
+  }
+
   Shadow* shadow_;
   typename Shadow::Marker marker_;
   unsigned vpn_ = 0;
+  std::size_t n_ = 0;
   long iter_ = -1;
   long marks_ = 0;
-  long fills_ = 1;  ///< the construction-time zero-fill below
+  long fills_ = 0;
   std::uint32_t gen_ = 1;
-  std::vector<long> lw_iter_;
-  std::vector<std::uint32_t> lw_gen_;
+  long* lw_iter_ = nullptr;           ///< last writing iteration per element
+  std::uint32_t* lw_gen_ = nullptr;   ///< generation of that entry
 };
 
 /// Historical names: the shared policy, which is what these spelled before

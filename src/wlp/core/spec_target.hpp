@@ -3,6 +3,9 @@
 // fuse checkpoint/undo work across targets without an include cycle with
 // the speculative drivers.
 //
+// It also holds AccessPattern, the stamp index and PD shadow that
+// trip-aligned sibling targets share.
+//
 // Two tiers of API:
 //   * The original per-target virtuals (checkpoint / undo_beyond /
 //     restore_all / ...) — every target implements these; drivers that run
@@ -22,6 +25,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "wlp/core/shadow.hpp"
 #include "wlp/core/versioned_array.hpp"
@@ -67,6 +72,11 @@ class SpecTarget {
   virtual void reset_marks() = 0;
   /// Shadow marks recorded since the last reset_marks() (0 if not shadowed).
   virtual long marks() const { return 0; }
+  /// Identity of the PD shadow this target marks into.  Siblings built over
+  /// one AccessPattern return the same key, so the round analyses that
+  /// shadow and the transaction counts its marks once; any other target is
+  /// its own key.
+  virtual const void* shadow_key() const { return this; }
   /// Did the backup lose a write since the last reset_marks()?  A sparse
   /// backup that hits capacity latches this instead of throwing from a pool
   /// worker; the drivers treat it exactly like a failed PD test (restore and
@@ -146,6 +156,87 @@ class SpecTarget {
 
  private:
   std::atomic<FootprintListener*> footprint_listener_{nullptr};
+};
+
+/// The access pattern trip-aligned sibling targets share (DESIGN.md §9):
+/// one StampIndex (one stamp per location) and, when the PD test runs, one
+/// shadow with its per-worker accessors (one mark per access).  The first
+/// target built over a pattern owns it (it creates the pattern, and as the
+/// index's clearer it also resets the shadow); siblings are constructed
+/// over the owner's shared_pattern() and run in the same transaction.
+///
+/// The contract is the stamp-sharing rule: siblings are written through the
+/// same subscript, by the same iterations.  A shared shadow then marks the
+/// union of the siblings' accesses, which can report more conflicts than
+/// one shadow per array, never fewer (DESIGN.md §9): fully_parallel()
+/// never passes a run that one shadow per array would fail.
+template <class Shadow>
+class AccessPattern {
+ public:
+  AccessPattern(std::size_t n, unsigned workers, bool run_pd_test)
+      : index_(std::make_shared<StampIndex>(n)), pd_(run_pd_test),
+        shadow_(n, workers), workers_(workers) {
+    if (pd_) {
+      accessors_.reserve(workers);
+      for (unsigned w = 0; w < workers; ++w)
+        accessors_.emplace_back(shadow_, n, w);
+    }
+  }
+
+  AccessPattern(const AccessPattern&) = delete;
+  AccessPattern& operator=(const AccessPattern&) = delete;
+
+  const std::shared_ptr<StampIndex>& index() const noexcept { return index_; }
+  unsigned workers() const noexcept { return workers_; }
+  bool shadowed() const noexcept { return pd_; }
+
+  void begin_iteration(unsigned vpn, long iter) noexcept {
+    if (pd_) accessors_[vpn].begin_iteration(iter);
+  }
+  void on_read(unsigned vpn, std::size_t idx) {
+    if (pd_) accessors_[vpn].on_read(idx);
+  }
+  void on_write(unsigned vpn, std::size_t idx) {
+    if (pd_) accessors_[vpn].on_write(idx);
+  }
+
+  PDVerdict analyze(ThreadPool& pool, long trip) const {
+    return shadow_.analyze(pool, trip);
+  }
+  /// O(1) epoch bumps for the privatized policy (shadow and accessors).
+  void reset() {
+    shadow_.reset();
+    for (auto& a : accessors_) a.reset();
+  }
+  long marks() const noexcept {
+    long m = 0;
+    for (const auto& a : accessors_) m += a.marks();
+    return m;
+  }
+
+  // Verdict-cache hooks: compiled only for shadow policies with summary
+  // support (the privatized one); the shared policy has none.
+  void enable_signatures(bool on) {
+    if constexpr (requires(Shadow& s) { s.enable_signatures(on); }) {
+      if (pd_) shadow_.enable_signatures(on);
+    }
+  }
+  bool access_summary(PDAccessSummary* out) const {
+    if constexpr (requires(const Shadow& s) { s.access_summary(); }) {
+      if (pd_ && shadow_.signatures_enabled()) {
+        *out = shadow_.access_summary();
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::shared_ptr<StampIndex> index_;
+  bool pd_;
+  Shadow shadow_;
+  unsigned workers_;
+  std::vector<PDAccessorT<Shadow>> accessors_;
 };
 
 namespace detail {

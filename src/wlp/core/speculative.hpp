@@ -41,44 +41,48 @@ namespace wlp {
 /// into per-worker private segments with plain stores and merges at analyze
 /// time; `PDSharedShadow` is the old striped-lock shared structure, kept for
 /// A/B comparison in benches.
+///
+/// The stamp index and the shadow live in an AccessPattern.  An array built
+/// with the first constructor owns a fresh one; a trip-aligned sibling
+/// (same subscript, same iterations — see AccessPattern) is built over the
+/// owner's shared_pattern() and then pays no stamp words, no shadow and no
+/// PD marks of its own: its write finds the stamp and the mark that the
+/// owner's write of the same element in the same iteration already made.
 template <class T, class Shadow = PDPrivateShadow>
 class SpecArray final : public SpecTarget {
  public:
+  using Pattern = AccessPattern<Shadow>;
+
   /// `run_pd_test` = false means the accesses are statically analyzable
   /// (only time-stamping for undo is needed, no shadow marking) — the
-  /// accessors (and their O(n) last-writer tables) are not even built.
-  ///
-  /// `shared` optionally aliases a trip-aligned sibling's StampIndex so a
-  /// transaction over both keeps one stamp word per location (see the
-  /// StampIndex class comment for the write-set contract this requires).
-  SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test,
-            std::shared_ptr<StampIndex> shared = nullptr)
-      : array_(std::move(init), std::move(shared)), pd_(run_pd_test),
-        shadow_(array_.size(), workers) {
-    if (pd_) {
-      accessors_.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w)
-        accessors_.emplace_back(shadow_, array_.size(), w);
-    }
-    writers_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-      writers_.emplace_back(array_.writer());
+  /// accessors are not even built.
+  SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test)
+      : pattern_(std::make_shared<Pattern>(init.size(), workers, run_pd_test)),
+        array_(std::move(init), pattern_->index()) {
+    make_writers();
+  }
+
+  /// A sibling over `pattern` (another SpecArray's shared_pattern()): its
+  /// worker count and PD setting are the pattern's.
+  SpecArray(std::vector<T> init, std::shared_ptr<Pattern> pattern)
+      : pattern_(std::move(pattern)), array_(std::move(init), pattern_->index()) {
+    make_writers();
   }
 
   // ---- body-side API -----------------------------------------------------
 
   /// Must be called by the body at the top of every iteration, per worker.
   void begin_iteration(unsigned vpn, long iter) {
-    if (pd_) accessors_[vpn].begin_iteration(iter);
+    pattern_->begin_iteration(vpn, iter);
   }
 
   T get(unsigned vpn, std::size_t idx) {
-    if (pd_) accessors_[vpn].on_read(idx);
+    pattern_->on_read(vpn, idx);
     return array_.get(idx);
   }
 
   void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    if (pd_) accessors_[vpn].on_write(idx);
+    pattern_->on_write(vpn, idx);
     // Per-worker Writer view: consecutive writes into the same 64-element
     // block skip the dirty-summary publication entirely.
     writers_[static_cast<std::size_t>(vpn)].value.write(iter, idx, v);
@@ -89,9 +93,9 @@ class SpecArray final : public SpecTarget {
   std::vector<T>& data() noexcept { return array_.data(); }
   const std::vector<T>& data() const noexcept { return array_.data(); }
 
-  /// The stamp index, for constructing trip-aligned siblings over it.
-  const std::shared_ptr<StampIndex>& shared_index() const noexcept {
-    return array_.shared_index();
+  /// The access pattern, for constructing trip-aligned siblings over it.
+  const std::shared_ptr<Pattern>& shared_pattern() const noexcept {
+    return pattern_;
   }
 
   // ---- SpecTarget ----------------------------------------------------------
@@ -101,43 +105,31 @@ class SpecArray final : public SpecTarget {
     return array_.undo_beyond(trip, pool);
   }
   void restore_all(ThreadPool* pool) override { array_.restore_all(pool); }
-  bool shadowed() const override { return pd_; }
+  bool shadowed() const override { return pattern_->shadowed(); }
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
-    return shadow_.analyze(pool, trip);
+    return pattern_->analyze(pool, trip);
   }
   void reset_marks() override {
-    shadow_.reset();  // O(1) epoch bump for the privatized policy
-    for (auto& a : accessors_) a.reset();
-    array_.clear_stamps();  // O(1) epoch bump too
+    // The owner (the index's clearer) resets the shared state once per
+    // round: the shadow and accessors, and the stamps by an epoch bump.
+    if (array_.clearer()) pattern_->reset();
+    array_.clear_stamps();
     // The Writers' cached blocks belong to the dead epoch: rebind so the
     // first write of the new run re-publishes its dirty bit.
     for (auto& w : writers_) w.value.rebind();
   }
-  long marks() const override {
-    long m = 0;
-    for (const auto& a : accessors_) m += a.marks();
-    return m;
-  }
+  long marks() const override { return pattern_->marks(); }
+  const void* shadow_key() const override { return pattern_.get(); }
   std::size_t memory_bytes() const override { return array_.memory_bytes(); }
   void discard() override { array_.discard_checkpoint(); }
 
   // ---- verdict-cache hooks -------------------------------------------------
-  // Compiled only for shadow policies with summary support (the privatized
-  // one); the shared policy keeps the defaults and the cache bypasses it.
 
   void enable_access_signatures(bool on) override {
-    if constexpr (requires(Shadow& s) { s.enable_signatures(on); }) {
-      if (pd_) shadow_.enable_signatures(on);
-    }
+    pattern_->enable_signatures(on);
   }
   bool access_summary(PDAccessSummary* out) const override {
-    if constexpr (requires(const Shadow& s) { s.access_summary(); }) {
-      if (pd_ && shadow_.signatures_enabled()) {
-        *out = shadow_.access_summary();
-        return true;
-      }
-    }
-    return false;
+    return pattern_->access_summary(out);
   }
   long dirty_block_count() const override {
     return array_.dirty_block_count();
@@ -164,10 +156,15 @@ class SpecArray final : public SpecTarget {
   UndoStats undo_stats() const { return array_.stats(); }
 
  private:
+  void make_writers() {
+    const unsigned workers = pattern_->workers();
+    writers_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+      writers_.emplace_back(array_.writer());
+  }
+
+  std::shared_ptr<Pattern> pattern_;
   VersionedArray<T> array_;
-  bool pd_;
-  Shadow shadow_;
-  std::vector<PDAccessorT<Shadow>> accessors_;
   /// One dirty-block-caching write view per worker, cache-line padded (the
   /// cached block index mutates on nearly every write).
   std::vector<Padded<typename VersionedArray<T>::Writer>> writers_;
@@ -211,7 +208,9 @@ struct SpecRound {
 /// range.  A passed round undoes the overshoot when the trip falls inside
 /// [base, end) and otherwise commits.  Either way the round adds its phase
 /// times, marks and counts to `r`, sets r.trip, and charges
-/// max(0, started - (trip - base)) to r.overshot.
+/// max(0, started - (trip - base)) to r.overshot.  The PD test runs once per
+/// distinct shadow (SpecTransaction::shadowed_targets), so siblings over
+/// one AccessPattern are analysed together.
 ///
 /// `run() -> QuitResult` is the speculative parallel execution of the range;
 /// as a template parameter its body stays inlined in the driver's DOALL.
@@ -273,12 +272,13 @@ SpecRound spec_round(ThreadPool& pool, SpecTransaction& txn,
     WLP_OBS_COUNT("wlp.spec.abandoned", 1);
   }
 
-  if (!failed) {
+  if (!failed && !txn.shadowed_targets().empty()) {
     WLP_TRACE_SCOPE("pd.analyze", out.trip, 0);
-    bool tested = false, passed = true;
-    for (SpecTarget* t : targets) {
-      if (!t->shadowed()) continue;
-      tested = true;
+    const auto t0 = std::chrono::steady_clock::now();
+    bool passed = true;
+    // Siblings sharing one AccessPattern are one entry here: their shadow
+    // is analysed once.
+    for (SpecTarget* t : txn.shadowed_targets()) {
       bool hit = false;
       const PDVerdict v =
           pdcache::analyze_with_cache(cache, *t, pool, base, out.trip, &hit);
@@ -288,12 +288,11 @@ SpecRound spec_round(ThreadPool& pool, SpecTransaction& txn,
       }
       if (!v.fully_parallel()) passed = false;
     }
-    if (tested) {
-      r.pd_tested = true;
-      r.pd_passed = r.pd_passed && passed;
-      failed = !passed;
-      WLP_OBS_COUNT(passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail", 1);
-    }
+    r.analyze_ns += detail::spec_ns_since(t0);
+    r.pd_tested = true;
+    r.pd_passed = r.pd_passed && passed;
+    failed = !passed;
+    WLP_OBS_COUNT(passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail", 1);
   }
 
   if (failed) {
@@ -305,9 +304,11 @@ SpecRound spec_round(ThreadPool& pool, SpecTransaction& txn,
     WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
     const auto t0 = std::chrono::steady_clock::now();
     txn.restore_all(&pool);
-    r.undo_ns += detail::spec_ns_since(t0);
+    const auto t1 = std::chrono::steady_clock::now();
+    r.undo_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
     r.reexecuted_sequentially = true;
     out.trip = run_sequential(base, end);
+    r.seq_ns += detail::spec_ns_since(t1);
   } else if (out.trip < end) {
     WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", out.trip, 0);
     const auto t0 = std::chrono::steady_clock::now();

@@ -23,12 +23,14 @@
 //     txn_index(), no sparse slots), so custom SpecTargets keep working
 //     unchanged inside a transaction.
 //
-// Stamp sharing: trip-aligned members (same write set per iteration — see
+// Pattern sharing: trip-aligned members (same write set per iteration — see
 // the StampIndex class comment for why that is the aliasing rule) can be
-// constructed over one StampIndex; a 2-array loop then keeps ONE stamp
-// word and ONE dirty bit per location instead of two, halving stamp
-// memory.  The transaction discovers sharing by grouping members on their
-// txn_index() pointer — no registration order or flags to get wrong.
+// constructed over one AccessPattern (spec_target.hpp): one StampIndex and
+// one PD shadow with its accessors.  A 2-array loop then keeps ONE stamp
+// word, ONE dirty bit and ONE PD mark per location instead of two.  The
+// transaction discovers sharing by grouping members on their txn_index()
+// pointer (undo) and their shadow_key() (PD test, marks) — no registration
+// order or flags to get wrong.
 //
 // AdaptiveSpecArray is the per-array, per-retry backend picker the ROADMAP
 // calls for: it owns BOTH a dense VersionedArray and a HashBackup and
@@ -69,9 +71,12 @@ class SpecTransaction : public FootprintListener {
   /// Elements per fused-checkpoint chunk (matches VersionedArray's
   /// internal checkpoint granularity).
   static constexpr std::size_t kCpChunk = 1u << 15;
-  /// Summary words per fused-undo chunk (matches VersionedArray's
-  /// internal undo granularity: 16 words = 32K elements).
-  static constexpr std::size_t kWordChunk = 16;
+  /// Summary words per fused-undo chunk: 4 words = 8K elements.  Finer
+  /// than VersionedArray's own 16-word chunks because one shared stamp
+  /// group serves several members: with 16 words a 50K-element group made
+  /// 2 units and left half of a 4-worker pool idle.  Spans still merge
+  /// across word boundaries inside a chunk.
+  static constexpr std::size_t kWordChunk = 4;
   /// Hash slots per fused-undo chunk (matches HashBackup::undo_into).
   static constexpr std::size_t kSlotChunk = 1024;
 
@@ -95,6 +100,13 @@ class SpecTransaction : public FootprintListener {
       }
       if (slots != 0) sparse_.push_back(SparseEntry{t, slots});
       if (idx == nullptr && slots == 0) opaque_.push_back(t);
+      // One entry per distinct PD shadow: siblings over one AccessPattern
+      // are analysed and counted through the first of them.
+      if (t->shadowed() &&
+          std::none_of(shadowed_.begin(), shadowed_.end(), [&](SpecTarget* h) {
+            return h->shadow_key() == t->shadow_key();
+          }))
+        shadowed_.push_back(t);
     }
     // Checkpoint chunk map: one contiguous range of chunk ids per fused
     // member (restore_all reuses the same map for the backup->data copies).
@@ -264,10 +276,17 @@ class SpecTransaction : public FootprintListener {
     return false;
   }
 
+  /// Shadow marks since begin(), each distinct shadow counted once.
   long marks() const {
     long m = 0;
-    for (const SpecTarget* t : all_) m += t->marks();
+    for (const SpecTarget* t : shadowed_) m += t->marks();
     return m;
+  }
+
+  /// One member per distinct PD shadow, in registration order: the targets
+  /// the round runs the PD test on.
+  std::span<SpecTarget* const> shadowed_targets() const noexcept {
+    return shadowed_;
   }
 
   /// Shape introspection (tests and the microbench assert on these).
@@ -344,6 +363,7 @@ class SpecTransaction : public FootprintListener {
   std::vector<SpecTarget*> all_;     ///< registration order
   std::vector<SpecTarget*> fused_;   ///< members with a stamp index
   std::vector<SpecTarget*> opaque_;  ///< legacy per-target fallback
+  std::vector<SpecTarget*> shadowed_;  ///< one member per distinct shadow
   std::vector<Group> groups_;        ///< fused members grouped by index
   std::vector<SparseEntry> sparse_;  ///< members with hash-slot chunks
   std::vector<long> cp_prefix_;      ///< chunk-id prefix per fused member
@@ -375,21 +395,14 @@ template <class T, class Shadow = PDPrivateShadow>
 class AdaptiveSpecArray final : public SpecTarget {
  public:
   /// `expected_writes` sizes the hash table (~2x headroom added by its
-  /// power-of-two rounding) and seeds the first density decision.
-  /// `shared` optionally aliases a sibling's StampIndex (see StampIndex).
+  /// power-of-two rounding) and seeds the first density decision.  The
+  /// array owns its AccessPattern (stamp index, shadow and accessors).
   AdaptiveSpecArray(std::vector<T> init, unsigned workers,
-                    std::size_t expected_writes, bool run_pd_test,
-                    std::shared_ptr<StampIndex> shared = nullptr)
-      : array_(std::move(init), std::move(shared)),
+                    std::size_t expected_writes, bool run_pd_test)
+      : pattern_(init.size(), workers, run_pd_test),
+        array_(std::move(init), pattern_.index()),
         hash_(expected_writes * 2),
-        expected_writes_(expected_writes),
-        pd_(run_pd_test),
-        shadow_(array_.size(), workers) {
-    if (pd_) {
-      accessors_.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w)
-        accessors_.emplace_back(shadow_, array_.size(), w);
-    }
+        expected_writes_(expected_writes) {
     writers_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
       writers_.emplace_back(array_.writer());
@@ -400,16 +413,16 @@ class AdaptiveSpecArray final : public SpecTarget {
   // ---- body-side API -----------------------------------------------------
 
   void begin_iteration(unsigned vpn, long iter) {
-    if (pd_) accessors_[vpn].begin_iteration(iter);
+    pattern_.begin_iteration(vpn, iter);
   }
 
   T get(unsigned vpn, std::size_t idx) {
-    if (pd_) accessors_[vpn].on_read(idx);
+    pattern_.on_read(vpn, idx);
     return array_.get(idx);
   }
 
   void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    if (pd_) accessors_[vpn].on_write(idx);
+    pattern_.on_write(vpn, idx);
     // Write tally, not distinct locations: an upper bound on the touched
     // set, which is the conservative direction for the density decision
     // (overcounting pushes toward dense, never toward an overflowing
@@ -501,13 +514,12 @@ class AdaptiveSpecArray final : public SpecTarget {
     else
       hash_.restore_all_into(array_.data(), pool);
   }
-  bool shadowed() const override { return pd_; }
+  bool shadowed() const override { return pattern_.shadowed(); }
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
-    return shadow_.analyze(pool, trip);
+    return pattern_.analyze(pool, trip);
   }
   void reset_marks() override {
-    shadow_.reset();
-    for (auto& a : accessors_) a.reset();
+    pattern_.reset();
     long touched = 0;
     for (auto& c : touches_) {
       touched += c.value;
@@ -523,11 +535,7 @@ class AdaptiveSpecArray final : public SpecTarget {
     for (auto& w : writers_) w.value.rebind();
     hash_.clear();
   }
-  long marks() const override {
-    long m = 0;
-    for (const auto& a : accessors_) m += a.marks();
-    return m;
-  }
+  long marks() const override { return pattern_.marks(); }
   bool overflowed() const override {
     return mode_ == BackupKind::kHash && hash_.overflowed();
   }
@@ -553,18 +561,10 @@ class AdaptiveSpecArray final : public SpecTarget {
   // ---- verdict-cache hooks -------------------------------------------------
 
   void enable_access_signatures(bool on) override {
-    if constexpr (requires(Shadow& s) { s.enable_signatures(on); }) {
-      if (pd_) shadow_.enable_signatures(on);
-    }
+    pattern_.enable_signatures(on);
   }
   bool access_summary(PDAccessSummary* out) const override {
-    if constexpr (requires(const Shadow& s) { s.access_summary(); }) {
-      if (pd_ && shadow_.signatures_enabled()) {
-        *out = shadow_.access_summary();
-        return true;
-      }
-    }
-    return false;
+    return pattern_.access_summary(out);
   }
   long dirty_block_count() const override {
     // Whichever backend held this retry's writes knows the density; the
@@ -623,12 +623,10 @@ class AdaptiveSpecArray final : public SpecTarget {
     if (mode_ != before) footprint_changed();
   }
 
+  AccessPattern<Shadow> pattern_;
   VersionedArray<T> array_;
   HashBackup<T> hash_;
   std::size_t expected_writes_;
-  bool pd_;
-  Shadow shadow_;
-  std::vector<PDAccessorT<Shadow>> accessors_;
   std::vector<Padded<typename VersionedArray<T>::Writer>> writers_;
   /// Per-worker write tallies (cache-line padded: bumped on every set()).
   std::vector<Padded<long>> touches_;

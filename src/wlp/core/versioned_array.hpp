@@ -10,10 +10,16 @@
 //
 // The write-once-per-location property the paper assumes ("since all
 // iterations of the WHILE loop are independent, each memory location will be
-// written during at most one iteration") is NOT silently assumed here: the
-// stamp kept is the *maximum* writer iteration, so undo_beyond() restores a
-// location if any overshot iteration touched it.  Violations of the
-// assumption are exactly what the PD test (Section 5) detects.
+// written during at most one iteration") is what makes one stamp per
+// location enough: undo_beyond() restores a location when its stamp names an
+// overshot iteration.  Where a location has several writers, the stamp is
+// the largest writer seen by a thread, which is exact only when all of the
+// location's writers are on the same side of the trip.  Two valid writers
+// are an output dependence and a valid plus an overshot writer is a
+// "straddled" element; the PD test (Section 5, PDVerdict::fully_parallel)
+// rejects both, and the round then restores everything and re-runs
+// sequentially.  Targets that run without a shadow must keep the
+// write-once contract themselves.
 //
 // Block-batched layout (the Tb/Ta terms of Section 7, paid per speculative
 // run and per strip retry, are what this representation optimizes):
@@ -21,9 +27,9 @@
 //   * Time-stamps are packed 64-bit words: (epoch << 32) | (iter + 1).
 //     Because the epoch occupies the high bits and only ever grows, a
 //     single unsigned compare answers both "is this stamp from the current
-//     run?" and "is the writer >= trip?", and the fetch-max CAS the
-//     concurrent writers race through is a plain numeric max.  A stamp
-//     whose epoch is stale reads as kNoStamp.
+//     run?" and "is the writer >= trip?", and the max a writer keeps is a
+//     plain numeric compare followed by a store (no CAS).  A stamp whose
+//     epoch is stale reads as kNoStamp.
 //   * clear_stamps() is therefore an O(1) epoch bump (the PD shadow's
 //     generation trick, Section 5.1 / DESIGN.md §5.1): strip retries,
 //     run-twice passes and sliding-window re-speculations stop paying an
@@ -54,17 +60,19 @@
 //     steady-state strip loop allocates nothing.
 //
 // The stamp + dirty-summary + epoch machinery is factored into StampIndex
-// so several trip-aligned arrays can ALIAS one index (DESIGN.md §9): a
-// 2-array loop whose members are written by the same iterations shares one
-// stamp word per location, halving stamp memory, and the SpecTransaction
+// so several trip-aligned arrays can ALIAS one index (DESIGN.md §9; the
+// speculation targets share it through an AccessPattern): a 2-array loop
+// whose members are written by the same iterations shares one stamp word
+// per location, halving stamp memory, and the SpecTransaction
 // layer (txn.hpp) walks the shared dirty summary ONCE per retry and
 // dispatches span restores to every member.  A VersionedArray constructed
 // without an explicit index owns a private one — nothing changes for
 // single-array loops.
 //
 // Concurrency contract (same as the PD shadow's): stamped writes may race
-// with each other (stamps and dirty words are atomic; the data stores race
-// only when iterations genuinely collide, which the PD test reports), while
+// with each other (stamps and dirty words are atomic, and for lock-free T
+// the data loads and stores go through relaxed std::atomic_ref, so the
+// colliding stores of a misspeculated run are well-defined), while
 // checkpoint / undo_beyond / restore_all / clear_stamps run only when no
 // writes are in flight — the fork-join barrier of the speculative drivers
 // provides the happens-before edge that publishes the relaxed stamp and
@@ -171,16 +179,19 @@ class StampIndex {
     return (static_cast<std::uint64_t>(clock_.value()) << 32) + low;
   }
 
-  /// fetch-max on the packed stamp: the epoch rides the high bits, so the
-  /// numeric max is exactly "current epoch wins over stale; larger iteration
-  /// wins within the epoch".
+  /// Non-locked max on the packed stamp: a relaxed load, a compare and a
+  /// relaxed store.  The epoch rides the high bits, so the numeric compare
+  /// is exactly "current epoch wins over stale; larger iteration wins
+  /// within the epoch".  One thread's writes keep the maximum.  Writers of
+  /// one element racing on different threads may leave any ONE of their
+  /// stamps, not necessarily the largest; the undo is still exact because
+  /// an element's writers all fall on one side of the trip (DESIGN.md §9,
+  /// "stamp-store rule").
   void stamp_max(std::size_t idx, long iter) noexcept {
     const std::uint64_t want = pack(iter);
     auto& s = stamp_[idx];
-    std::uint64_t cur = s.load(std::memory_order_relaxed);
-    while (want > cur &&
-           !s.compare_exchange_weak(cur, want, std::memory_order_acq_rel)) {
-    }
+    if (want > s.load(std::memory_order_relaxed))
+      s.store(want, std::memory_order_relaxed);
   }
 
   void mark_dirty(std::size_t block) noexcept {
@@ -331,6 +342,18 @@ class StampIndex {
   std::atomic<bool> clearer_claimed_{false};
 };
 
+namespace detail {
+/// Whether T's speculative loads and stores can go through a relaxed
+/// std::atomic_ref: trivially copyable, always lock-free, and no stricter
+/// alignment than a plain T (vector elements are only alignof(T)-aligned).
+template <class T, bool = std::is_trivially_copyable_v<T>>
+struct relaxed_atomic_access : std::false_type {};
+template <class T>
+struct relaxed_atomic_access<T, true>
+    : std::bool_constant<std::atomic_ref<T>::is_always_lock_free &&
+                         std::atomic_ref<T>::required_alignment == alignof(T)> {};
+}  // namespace detail
+
 template <class T>
 class VersionedArray {
  public:
@@ -366,20 +389,34 @@ class VersionedArray {
 
   std::size_t size() const noexcept { return data_.size(); }
 
+  /// Speculative element access goes through a relaxed std::atomic_ref
+  /// when T allows it: iterations that collide on one element in a run the
+  /// PD test later rejects then race in a well-defined way (TSan-clean).
+  /// On x86-64 each access is still one plain mov (a floating-point T
+  /// passes through a general register).  Other T keep plain accesses.
+  static constexpr bool kRelaxedAtomicAccess =
+      detail::relaxed_atomic_access<T>::value;
+
   /// Live value (reads are never versioned; anti-dependences on the original
   /// values are the checkpoint's job).
-  const T& get(std::size_t idx) const noexcept { return data_[idx]; }
+  T get(std::size_t idx) const noexcept {
+    if constexpr (kRelaxedAtomicAccess)
+      return std::atomic_ref<T>(const_cast<T&>(data_[idx]))
+          .load(std::memory_order_relaxed);
+    else
+      return data_[idx];
+  }
 
   /// Stamped speculative write by iteration `iter` (vpn-less path: pays the
   /// summary-word access every call; hot loops hold a Writer instead).
   void write(long iter, std::size_t idx, const T& v) noexcept {
-    data_[idx] = v;
+    store(idx, v);
     index_->stamp_max(idx, iter);
     index_->mark_dirty(idx / kBlockSize);
   }
 
   /// Worker-bound write view: caches the last block it dirtied, so a run of
-  /// writes landing in the same 64-element block pays the stamp CAS only —
+  /// writes landing in the same 64-element block pays the stamp store only —
   /// no summary-word load, no fetch_or (the PD Marker-view trick).
   ///
   /// A Writer is INVALIDATED by clear_stamps()/restore_all(): its cached
@@ -391,7 +428,7 @@ class VersionedArray {
     Writer() = default;
 
     void write(long iter, std::size_t idx, const T& v) noexcept {
-      arr_->data_[idx] = v;
+      arr_->store(idx, v);
       arr_->index_->stamp_max(idx, iter);
       const std::size_t block = idx / kBlockSize;
       if (block == last_block_) return;  // summary bit already published
@@ -590,6 +627,8 @@ class VersionedArray {
   /// SpecTransaction groups members by this pointer to walk each shared
   /// summary exactly once per retry.
   StampIndex* index() noexcept { return index_.get(); }
+  /// Whether this member bumps and charges its (possibly shared) index.
+  bool clearer() const noexcept { return clearer_; }
   const StampIndex* index() const noexcept { return index_.get(); }
   const std::shared_ptr<StampIndex>& shared_index() const noexcept {
     return index_;
@@ -654,6 +693,14 @@ class VersionedArray {
   const std::vector<T>& data() const noexcept { return data_; }
 
  private:
+  /// The speculative store (see kRelaxedAtomicAccess).
+  void store(std::size_t idx, const T& v) noexcept {
+    if constexpr (kRelaxedAtomicAccess)
+      std::atomic_ref<T>(data_[idx]).store(v, std::memory_order_relaxed);
+    else
+      data_[idx] = v;
+  }
+
   static double ns_since(std::chrono::steady_clock::time_point t0) noexcept {
     return std::chrono::duration<double, std::nano>(
                std::chrono::steady_clock::now() - t0)

@@ -36,6 +36,7 @@ struct VerdictCache::Slot {
   std::atomic<long> multi_written{0};
   std::atomic<long> exposed{0};
   std::atomic<long> conflicts{0};
+  std::atomic<long> straddled{0};
 };
 
 StrideClass classify_stride(long marks, std::size_t min_idx,
@@ -136,6 +137,7 @@ bool VerdictCache::lookup(const AccessSignature& sig, Verdict* out) noexcept {
       pd.multi_written = s.multi_written.load(std::memory_order_relaxed);
       pd.exposed_read_elements = s.exposed.load(std::memory_order_relaxed);
       pd.conflicts = s.conflicts.load(std::memory_order_relaxed);
+      pd.straddled = s.straddled.load(std::memory_order_relaxed);
       *out = Verdict::from(pd);
       hits_.fetch_add(1, std::memory_order_relaxed);
       WLP_OBS_COUNT("wlp.pd.cache.hits", 1);
@@ -175,6 +177,7 @@ void VerdictCache::insert(const AccessSignature& sig,
       s.multi_written.store(v.pd.multi_written, std::memory_order_relaxed);
       s.exposed.store(v.pd.exposed_read_elements, std::memory_order_relaxed);
       s.conflicts.store(v.pd.conflicts, std::memory_order_relaxed);
+      s.straddled.store(v.pd.straddled, std::memory_order_relaxed);
       s.tag.store(ready, std::memory_order_release);
       return;
     }

@@ -110,15 +110,17 @@ ExecReport TrackLoop::run_induction2(ThreadPool& pool, std::vector<double>& pos,
 
 ExecReport TrackLoop::run_speculative(ThreadPool& pool, std::vector<double>& pos,
                                       std::vector<double>& vel) const {
+  // pos and vel are written through the same subscript sub[i] by the same
+  // iterations: vel is built over pos's access pattern, so each iteration
+  // pays one stamp word and one PD mark for the pair (DESIGN.md §9).
   SpecArray<double> spos(std::move(pos), pool.size(), /*run_pd_test=*/true);
-  SpecArray<double> svel(std::move(vel), pool.size(), /*run_pd_test=*/true);
+  SpecArray<double> svel(std::move(vel), spos.shared_pattern());
   SpecTarget* targets[] = {&spos, &svel};
 
   ExecReport r = speculative_while(
       pool, cfg_.candidates, std::span<SpecTarget* const>(targets, 2),
       [&](long i, unsigned vpn) {
-        spos.begin_iteration(vpn, i);
-        svel.begin_iteration(vpn, i);
+        spos.begin_iteration(vpn, i);  // also svel's: one shared pattern
         double p, v;
         if (extrapolate(i, p, v)) return IterAction::kExit;
         const auto slot = static_cast<std::size_t>(sub_[static_cast<std::size_t>(i)]);

@@ -92,7 +92,13 @@ TYPED_TEST(PDShadowPolicy, MarksFromOvershotIterationsAreIgnored) {
   EXPECT_EQ(filtered.conflicts, 0);
   EXPECT_EQ(filtered.multi_written, 0);
   EXPECT_EQ(filtered.written_elements, 1);
-  EXPECT_TRUE(filtered.fully_parallel());
+  // The overshot write still matters to the undo: element 0's stamp names
+  // iteration 7, so undoing it would lose iteration 2's valid value.  The
+  // element is straddled and the strict verdict rejects the run; the
+  // privatized copy-out keeps the last valid writer and is unaffected.
+  EXPECT_EQ(filtered.straddled, 1);
+  EXPECT_FALSE(filtered.fully_parallel());
+  EXPECT_TRUE(filtered.parallel_with_privatization());
 }
 
 TYPED_TEST(PDShadowPolicy, TwoSmallestWritersSurviveFiltering) {

@@ -42,6 +42,7 @@ void expect_equal(const PDVerdict& a, const PDVerdict& b, long trip) {
   EXPECT_EQ(a.multi_written, b.multi_written) << "trip " << trip;
   EXPECT_EQ(a.exposed_read_elements, b.exposed_read_elements) << "trip " << trip;
   EXPECT_EQ(a.conflicts, b.conflicts) << "trip " << trip;
+  EXPECT_EQ(a.straddled, b.straddled) << "trip " << trip;
 }
 
 TEST(PDSharedStress, ConcurrentMarkingAnalysisAndResetRounds) {

@@ -3,6 +3,7 @@
 // whichever driver schedules the round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -150,6 +151,87 @@ TEST_P(SpecRound, ExceptionRestoresAndReexecutes) {
   for (long i = 0; i < n; ++i)
     ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)], i < throw_at ? 1.0 : 0.0)
         << i;
+}
+
+TEST_P(SpecRound, ReportsAnalysisAndSequentialRerunTimes) {
+  // Td (analyze_ns) and Tseq (seq_ns) are summed per round like Tb and Ta:
+  // a passing round spends time in the PD test and none re-running; a
+  // failing one (here a flow dependence) re-runs sequentially.
+  const auto [driver, p] = GetParam();
+  ThreadPool pool(p);
+  const long n = 2000;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), /*run_pd_test=*/true);
+  SpecTarget* targets[] = {&arr};
+  long rounds = 0;
+
+  const ExecReport pass = run_driver(
+      driver, pool, n, n / 4, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+        return IterAction::kContinue;
+      },
+      [](long, long end) { return end; }, &rounds);
+  ASSERT_TRUE(pass.pd_passed);
+  EXPECT_GT(pass.analyze_ns, 0.0);
+  EXPECT_EQ(pass.seq_ns, 0.0);
+
+  const ExecReport fail = run_driver(
+      driver, pool, n, n, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        if (i == 0) return IterAction::kContinue;
+        const double prev = arr.get(vpn, static_cast<std::size_t>(i - 1));
+        arr.set(vpn, i, static_cast<std::size_t>(i), prev + 1.0);
+        return IterAction::kContinue;
+      },
+      [&](long base, long end) {
+        auto& d = arr.data();
+        for (long i = std::max(base, 1L); i < end; ++i)
+          d[static_cast<std::size_t>(i)] = d[static_cast<std::size_t>(i - 1)] + 1.0;
+        return end;
+      },
+      &rounds);
+  ASSERT_TRUE(fail.reexecuted_sequentially);
+  EXPECT_GT(fail.seq_ns, 0.0);
+  EXPECT_GT(fail.analyze_ns, 0.0);
+}
+
+TEST_P(SpecRound, ValidAndOvershotWriterCollisionReexecutes) {
+  // Iteration 2 writes A[0] and so does iteration 5, which discovers the
+  // exit after its write (RV exit), so both writers run under every driver
+  // and schedule.  The one-writer-per-element undo cannot keep iteration 2's
+  // value while undoing iteration 5's: the round must fail and re-run.
+  const auto [driver, p] = GetParam();
+  ThreadPool pool(p);
+  const long n = 10, exit_at = 5;
+  SpecArray<double> arr(std::vector<double>(4, -1.0), pool.size(),
+                        /*run_pd_test=*/true);
+  SpecTarget* targets[] = {&arr};
+
+  long rounds = 0;
+  const ExecReport r = run_driver(
+      driver, pool, n, /*strip=*/n, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        if (i == 2 || i == exit_at) arr.set(vpn, i, 0, static_cast<double>(i));
+        return i == exit_at ? IterAction::kExit : IterAction::kContinue;
+      },
+      [&](long base, long end) {
+        for (long i = base; i < end; ++i) {
+          if (i == exit_at) return i;
+          if (i == 2) arr.data()[0] = 2.0;
+        }
+        return end;
+      },
+      &rounds);
+
+  EXPECT_TRUE(r.pd_tested);
+  EXPECT_FALSE(r.pd_passed);
+  EXPECT_TRUE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, exit_at);
+  EXPECT_EQ(arr.data()[0], 2.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -128,6 +128,41 @@ TEST(Speculative, OutputDependenceIsDetected) {
   EXPECT_EQ(arr.data()[3], 99.0);
 }
 
+/// A valid and an overshot iteration write the same element: iterations 2
+/// and 7 both write A[0], the loop exits at 5, and without QUIT every
+/// iteration runs.  The max-stamp undo would restore A[0] to its pre-loop
+/// value and lose iteration 2's write, so the PD test must reject the run
+/// and the sequential re-run must give A[0] = 2.
+TEST(Speculative, ValidAndOvershotWriteCollisionReexecutes) {
+  for (unsigned p : {1u, 2u}) {
+    ThreadPool pool(p);
+    SpecArray<double> arr(std::vector<double>(4, -1.0), pool.size(), true);
+    SpecTarget* targets[] = {&arr};
+    SpecOptions opts;
+    opts.doall.use_quit = false;
+
+    const ExecReport r = speculative_while(
+        pool, 10, std::span<SpecTarget* const>(targets, 1),
+        [&](long i, unsigned vpn) {
+          arr.begin_iteration(vpn, i);
+          if (i == 5) return IterAction::kExit;
+          if (i == 2 || i == 7) arr.set(vpn, i, 0, static_cast<double>(i));
+          return IterAction::kContinue;
+        },
+        [&] {
+          arr.data()[0] = 2.0;
+          return 5L;
+        },
+        opts);
+
+    EXPECT_TRUE(r.pd_tested) << "p=" << p;
+    EXPECT_FALSE(r.pd_passed) << "p=" << p;
+    EXPECT_TRUE(r.reexecuted_sequentially) << "p=" << p;
+    EXPECT_EQ(r.trip, 5) << "p=" << p;
+    EXPECT_EQ(arr.data()[0], 2.0) << "p=" << p;
+  }
+}
+
 /// Non-shadowed arrays skip the PD test but still get stamps and undo.
 TEST(Speculative, UnshadowedArraySkipsPDButUndoes) {
   ThreadPool pool(4);

@@ -39,8 +39,7 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
   const long iters = 4000, trip = 1700;
 
   SpecArray<long> a(std::vector<long>(n, -1), pool.size(), false);
-  SpecArray<long> b(std::vector<long>(n, -2), pool.size(), false,
-                    a.shared_index());
+  SpecArray<long> b(std::vector<long>(n, -2), a.shared_pattern());
   SpecArray<long> c(std::vector<long>(n, -3), pool.size(), false);
   SpecTarget* targets[] = {&a, &b, &c};
   SpecTransaction txn(std::span<SpecTarget* const>(targets, 3));
@@ -87,8 +86,7 @@ TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
   ThreadPool pool(4);
   const std::size_t n = 1 << 12;
   SpecArray<double> a(std::vector<double>(n, 1.5), pool.size(), false);
-  SpecArray<double> b(std::vector<double>(n, 2.5), pool.size(), false,
-                      a.shared_index());
+  SpecArray<double> b(std::vector<double>(n, 2.5), a.shared_pattern());
   std::vector<double> sparse_data(n, 3.5);
   SparseSpecArray<double> s(sparse_data, pool.size(), 256, false);
   SpecTarget* targets[] = {&a, &b, &s};
@@ -115,8 +113,7 @@ TEST(TxnSharedStamps, SharingHalvesStampMemory) {
   const std::size_t n = 1 << 14;
   ThreadPool pool(2);
   SpecArray<double> a(std::vector<double>(n, 0.0), pool.size(), false);
-  SpecArray<double> b(std::vector<double>(n, 0.0), pool.size(), false,
-                      a.shared_index());
+  SpecArray<double> b(std::vector<double>(n, 0.0), a.shared_pattern());
   SpecTarget* shared_pair[] = {&a, &b};
   SpecTransaction shared_txn(std::span<SpecTarget* const>(shared_pair, 2));
 
@@ -128,22 +125,24 @@ TEST(TxnSharedStamps, SharingHalvesStampMemory) {
   // One group, and the saving equals exactly one index's bytes (the second
   // member would have owned a private one).
   EXPECT_EQ(shared_txn.shared_groups(), 1u);
-  EXPECT_EQ(shared_txn.stamp_bytes_saved(), a.shared_index()->memory_bytes());
+  const std::size_t index_bytes = a.shared_pattern()->index()->memory_bytes();
+  EXPECT_EQ(shared_txn.stamp_bytes_saved(), index_bytes);
   EXPECT_EQ(private_txn.stamp_bytes_saved(), 0u);
 
   // The budget-visible footprint reflects it: the shared pair pins one
   // index where the private pair pins two.  (Backup buffers are identical
   // on both sides, so the delta is the index bytes.)
   EXPECT_EQ(private_txn.memory_bytes() - shared_txn.memory_bytes(),
-            a.shared_index()->memory_bytes());
+            index_bytes);
   // And the index itself dominates its dense n: ~12.25 bytes/element
   // (8 stamp + summary) versus twice that unshared.
-  EXPECT_GE(a.shared_index()->memory_bytes(), n * sizeof(std::uint64_t));
+  EXPECT_GE(index_bytes, n * sizeof(std::uint64_t));
 }
 
 TEST(TxnStress, MixedDenseHashConcurrentWritersSharedWords) {
-  // TSan coverage: two dense members share one StampIndex, so concurrent
-  // workers CAS the same stamp and summary words; a hash member's record()
+  // TSan coverage: two dense members share one access pattern, so
+  // concurrent workers store to the same stamp and summary words and mark
+  // through the same accessors; a hash member's record()
   // races on its slot tags in the same run.  Chunk 1 dynamic scheduling
   // maximizes interleaving; the exit lands exactly on a 64-element block
   // boundary so the undo threshold splits a summary word.
@@ -153,7 +152,7 @@ TEST(TxnStress, MixedDenseHashConcurrentWritersSharedWords) {
   SpecArray<double> a(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                       pool.size(), true);
   SpecArray<double> b(std::vector<double>(static_cast<std::size_t>(n), 0.0),
-                      pool.size(), true, a.shared_index());
+                      a.shared_pattern());
   std::vector<double> sdata(static_cast<std::size_t>(n), 0.0);
   SparseSpecArray<double> s(sdata, pool.size(), static_cast<std::size_t>(n),
                             true);
@@ -334,7 +333,7 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   SpecArray<double> a(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                       pool.size(), true);
   SpecArray<double> b(std::vector<double>(static_cast<std::size_t>(n), 0.0),
-                      pool.size(), true, a.shared_index());
+                      a.shared_pattern());
   SpecTarget* targets[] = {&a, &b};
 
   // Static issue: every worker deterministically participates in every
@@ -363,7 +362,7 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   ASSERT_EQ(warm.strips_failed, 0);
   const std::size_t bytes_warm = a.memory_bytes() + b.memory_bytes();
   const UndoStats stats_warm = a.undo_stats();
-  const long sweeps_warm = a.shared_index()->sweeps();
+  const long sweeps_warm = a.shared_pattern()->index()->sweeps();
   const mem::BudgetSnapshot mem_warm = mem::Budget::process().snapshot();
 
   const StripSpecReport hot = run_once();
@@ -372,7 +371,7 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   const mem::BudgetSnapshot mem_hot = mem::Budget::process().snapshot();
 
   EXPECT_EQ(a.memory_bytes() + b.memory_bytes(), bytes_warm);
-  EXPECT_EQ(a.shared_index()->sweeps(), sweeps_warm);
+  EXPECT_EQ(a.shared_pattern()->index()->sweeps(), sweeps_warm);
   EXPECT_EQ(stats_hot.checkpoints - stats_warm.checkpoints, n / strip);
   EXPECT_EQ(stats_hot.resets - stats_warm.resets, n / strip);
   // The process-wide ledger agrees: nothing reached the OS in steady state.

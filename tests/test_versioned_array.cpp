@@ -129,9 +129,9 @@ TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
 
 TEST(VersionedArray, ConcurrentWritersShareBlocksAndSummaryWords) {
   // Distinct elements, shared 64-element blocks and shared 2048-element
-  // summary words: the stamp CAS-max and the dirty-word fetch_or/CAS-rebase
-  // race exactly as they do in a real speculative DOALL.  (Run under TSan
-  // in CI via the VersionedArray* filter.)
+  // summary words: the stamp load-compare-store and the dirty-word
+  // fetch_or/CAS-rebase race exactly as they do in a real speculative
+  // DOALL.  (Run under TSan in CI via the VersionedArray* filter.)
   ThreadPool pool(4);
   const long n = 1 << 14, trip = 9000;
   VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1));
