@@ -18,7 +18,9 @@
 //      state pinned per retry must drop ~2x (flag: ratio >= 1.8).
 //   3. Adaptive backup — AdaptiveSpecArray (measured-density decision,
 //      cost_model::choose_backup) vs forced-dense (SpecArray) and
-//      forced-hash (SparseSpecArray) on a sparse (~1% touched) and a dense
+//      forced-hash (HashOnlyArray below: a bare HashBackup target, so the
+//      comparison has a hash backend without the adaptive picker's tally
+//      and idle dense side) on a sparse (~1% touched) and a dense
 //      (100% touched) workload.  Timed quantity is the full retry:
 //      reset+checkpoint, the instrumented writes, and the undo.  Flag: the
 //      adaptive picker stays within 1.1x of the better static backend on
@@ -37,7 +39,7 @@
 #include <thread>
 #include <vector>
 
-#include "wlp/core/sparse_spec.hpp"
+#include "wlp/core/sparse_backup.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
 #include "wlp/core/txn.hpp"
@@ -55,6 +57,74 @@ double seconds_since(Clock::time_point t0) {
 double min_of(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
 }
+
+/// A bare dense target over a VersionedArray, with no PD shadow.  Its txn
+/// hooks forward exactly as SpecArray's do, and array() gives the
+/// per-array baseline each array's own undo_beyond (one pool dispatch per
+/// array, at the array's own chunking), which SpecTarget does not expose.
+class DenseArray final : public wlp::SpecTarget {
+ public:
+  explicit DenseArray(std::size_t n) : array_(std::vector<double>(n, 0.0)) {}
+
+  wlp::VersionedArray<double>& array() noexcept { return array_; }
+
+  bool shadowed() const override { return false; }
+  wlp::PDVerdict analyze(wlp::ThreadPool&, long) const override { return {}; }
+  void reset_marks() override { array_.clear_stamps(); }
+  void discard() override { array_.discard_checkpoint(); }
+  std::size_t memory_bytes() const override { return array_.memory_bytes(); }
+  wlp::StampIndex* txn_index() noexcept override { return array_.index(); }
+  std::size_t txn_checkpoint_begin() override {
+    return array_.txn_checkpoint_begin();
+  }
+  void txn_checkpoint_span(std::size_t b, std::size_t e) override {
+    array_.txn_checkpoint_span(b, e);
+  }
+  long txn_restore_span(std::size_t b, std::size_t e,
+                        std::uint64_t threshold) override {
+    return array_.restore_span(b, e, threshold);
+  }
+  void txn_restore_all_span(std::size_t b, std::size_t e) override {
+    array_.txn_restore_all_span(b, e);
+  }
+  void txn_restore_all_done() override { array_.clear_stamps(); }
+
+ private:
+  wlp::VersionedArray<double> array_;
+};
+
+/// The forced-hash baseline: Section 4's hash-table backup as a bare
+/// speculation target, with no dense side and no PD shadow.
+class HashOnlyArray final : public wlp::SpecTarget {
+ public:
+  HashOnlyArray(std::size_t n, std::size_t expected_writes)
+      : data_(n, 0.0), backup_(expected_writes * 2) {}
+
+  /// Save-before-write; a full table skips the data write (the caller
+  /// checks overflowed()).
+  void set(unsigned, long iter, std::size_t idx, double v) {
+    if (backup_.record(iter, idx, data_[idx])) data_[idx] = v;
+  }
+
+  bool shadowed() const override { return false; }
+  wlp::PDVerdict analyze(wlp::ThreadPool&, long) const override { return {}; }
+  void reset_marks() override { backup_.clear(); }
+  void discard() override { backup_.clear(); }
+  bool overflowed() const override { return backup_.overflowed(); }
+  std::size_t memory_bytes() const override { return backup_.memory_bytes(); }
+  long dirty_block_count() const override {
+    return backup_.dirty_block_count();
+  }
+  std::size_t txn_sparse_slots() const override { return backup_.capacity(); }
+  long txn_undo_slots(long trip, std::size_t lo, std::size_t hi) override {
+    return backup_.undo_slots(data_, trip, lo, hi);
+  }
+  void txn_restore_all_done() override { backup_.clear(); }
+
+ private:
+  std::vector<double> data_;
+  wlp::HashBackup<double> backup_;
+};
 
 struct FusedPoint {
   int arrays = 0;
@@ -75,11 +145,10 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
   FusedPoint pt;
   pt.arrays = k;
 
-  std::vector<std::unique_ptr<wlp::SpecArray<double>>> arrays;
+  std::vector<std::unique_ptr<DenseArray>> arrays;
   std::vector<wlp::SpecTarget*> targets;
   for (int a = 0; a < k; ++a) {
-    arrays.push_back(std::make_unique<wlp::SpecArray<double>>(
-        std::vector<double>(n, 0.0), pool.size(), /*run_pd_test=*/false));
+    arrays.push_back(std::make_unique<DenseArray>(n));
     targets.push_back(arrays.back().get());
   }
   wlp::SpecTransaction txn(
@@ -91,7 +160,7 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
     txn.begin(&pool);
     for (auto& arr : arrays)
       for (long i = 0; i < writes_per_array; ++i)
-        arr->set(0, i, static_cast<std::size_t>(i) * stride, 1.0);
+        arr->array().write(i, static_cast<std::size_t>(i) * stride, 1.0);
   };
 
   std::vector<double> f_us, p_us;
@@ -106,7 +175,7 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
     fill();
     const auto t0 = Clock::now();
     loop_undone = 0;
-    for (wlp::SpecTarget* t : targets) loop_undone += t->undo_beyond(trip, &pool);
+    for (auto& arr : arrays) loop_undone += arr->array().undo_beyond(trip, &pool);
     if (record) p_us.push_back(seconds_since(t0) * 1e6);
   };
   for (int r = -1; r < reps; ++r) {  // rep -1 = warmup, not recorded
@@ -182,8 +251,7 @@ AdaptivePoint adaptive_regime(wlp::ThreadPool& pool, const char* name,
   pt.workload = name;
   wlp::SpecArray<double> dense(std::vector<double>(n, 0.0), pool.size(),
                                false);
-  std::vector<double> data(n, 0.0);
-  wlp::SparseSpecArray<double> hash(data, pool.size(), touched, false);
+  HashOnlyArray hash(n, touched);
   // Same expected-writes sizing the forced-hash backend gets, so the
   // comparison isolates the DECISION cost, not table-size handicaps.
   // (Convergence from a wrong hint is covered by the Txn* tests.)

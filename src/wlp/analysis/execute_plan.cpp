@@ -8,7 +8,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "wlp/core/cost_model.hpp"
@@ -26,21 +25,6 @@
 namespace wlp::ir {
 
 namespace {
-
-struct FiredExit {
-  int stmt;
-  long iter;
-};
-
-/// Iterations statement `s` may validly execute (same rule as the
-/// distributed interpreter): statements textually before an exit run
-/// through its firing iteration inclusive.
-long stmt_limit(int s, long max_iters, const std::vector<FiredExit>& fired) {
-  long lim = max_iters;
-  for (const FiredExit& e : fired)
-    lim = std::min(lim, e.iter + (s < e.stmt ? 1 : 0));
-  return lim;
-}
 
 struct LoggedWrite {
   long iter;
@@ -86,8 +70,11 @@ struct ExecState {
   std::map<std::string, double> entry_scalars;
   std::map<std::string, std::vector<double>> entry_arrays;
 
-  std::mutex fired_mu;
-  std::vector<FiredExit> fired;
+  /// The lexicographically first exit fired so far, packed as
+  /// iter * stmts + stmt; max_iters * stmts while none has fired.  Workers
+  /// lower it with a CAS-minimum and read it without a lock.
+  long stmts = 1;
+  std::atomic<long> exit_at{0};
 
   std::vector<Padded<std::vector<LoggedWrite>>> logs;  // per worker
   StripedLocks store_locks;
@@ -102,13 +89,26 @@ struct ExecState {
   // accessors[worker][array]
   std::vector<std::map<std::string, PDPrivateAccessor>> accessors;
 
+  /// Iterations statement `s` may validly execute (same rule as the
+  /// distributed interpreter): statements textually before an exit run
+  /// through its firing iteration inclusive.  The first exit bounds every
+  /// statement, so it alone gives the limit.
   long limit_now(int s) const {
-    return stmt_limit(s, loop->max_iters, fired);
+    const long t = exit_at.load(std::memory_order_relaxed);
+    return t / stmts + (s < t % stmts ? 1 : 0);
+  }
+
+  /// Iterations before the first exit (max_iters if none fired).
+  long trip() const {
+    return exit_at.load(std::memory_order_relaxed) / stmts;
   }
 
   void fire(int s, long i) {
-    std::lock_guard lock(fired_mu);
-    fired.push_back({s, i});
+    const long t = i * stmts + s;
+    long cur = exit_at.load(std::memory_order_relaxed);
+    while (t < cur &&
+           !exit_at.compare_exchange_weak(cur, t, std::memory_order_relaxed)) {
+    }
   }
 };
 
@@ -160,7 +160,8 @@ double evalx(ExecState& st, const ExprPtr& e, int step, int at_stmt, long i,
       const auto ait = st.accessors[vpn].find(e->name);
       if (ait != st.accessors[vpn].end())
         ait->second.on_read(static_cast<std::size_t>(idx));
-      return it->second[static_cast<std::size_t>(idx)];
+      return std::atomic_ref<double>(it->second[static_cast<std::size_t>(idx)])
+          .load(std::memory_order_relaxed);
     }
     case ExprKind::kBinary: {
       const double l = evalx(st, e->a, step, at_stmt, i, vpn, live);
@@ -197,8 +198,11 @@ bool execute_stmt(ExecState& st, int step, int s, long i, unsigned vpn,
   if (stmt.guard && evalx(st, stmt.guard, step, s, i, vpn, live) == 0.0) {
     // Conditional scalar defs carry the previous value forward (guarded
     // scalars are self-dependent, so they always execute with `live`).
-    if (stmt.kind == StmtKind::kAssignScalar)
+    if (stmt.kind == StmtKind::kAssignScalar) {
+      if (live == nullptr)
+        throw std::runtime_error("plan-exec: guarded scalar without live values");
       st.expansion.at(stmt.lhs)[static_cast<std::size_t>(i)] = live->at(stmt.lhs);
+    }
     return false;
   }
   switch (stmt.kind) {
@@ -225,8 +229,12 @@ bool execute_stmt(ExecState& st, int step, int s, long i, unsigned vpn,
       if (ait != st.accessors[vpn].end())
         ait->second.on_write(static_cast<std::size_t>(idx));
       st.store_locks.lock(static_cast<std::size_t>(idx));
+      // Relaxed-atomic like the load in evalx: in an unknown-access block a
+      // run the PD test later rejects may read this element unlocked on
+      // another worker (a well-defined race, as in VersionedArray).
       const double old = arr[static_cast<std::size_t>(idx)];
-      arr[static_cast<std::size_t>(idx)] = v;
+      std::atomic_ref<double>(arr[static_cast<std::size_t>(idx)])
+          .store(v, std::memory_order_relaxed);
       const long tick = st.ticket.fetch_add(1, std::memory_order_relaxed);
       st.store_locks.unlock(static_cast<std::size_t>(idx));
       // Interned array name: the Stmt's lhs lives as long as the loop.
@@ -270,6 +278,8 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
   st.plan = &plan;
   st.env = &env;
   st.pool = &pool;
+  st.stmts = std::max<long>(1, static_cast<long>(loop.body.size()));
+  st.exit_at.store(loop.max_iters * st.stmts, std::memory_order_relaxed);
   // The entry-state copy is this scheme's checkpoint (Tb) — decided PER
   // ARRAY through the same cost model the runtime targets use: an array the
   // plan stores into densely gets a snapshot (restore = one copy); one
@@ -479,8 +489,7 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
   }
 
   // ---- PD verdicts (filtered by the final trip) ------------------------------
-  long trip = loop.max_iters;
-  for (const FiredExit& e : st.fired) trip = std::min(trip, e.iter);
+  const long trip = st.trip();
 
   const pdcache::CacheStats pc0 = opts.verdict_cache != nullptr
                                       ? opts.verdict_cache->stats()
@@ -556,7 +565,7 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
                      return a.stmt < b.stmt;
                    });
   for (const LoggedWrite& w : writes) {
-    if (w.iter >= stmt_limit(w.stmt, loop.max_iters, st.fired)) {
+    if (w.iter >= st.limit_now(w.stmt)) {
       ++out.discarded_writes;
       continue;
     }
@@ -569,7 +578,7 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
 
   // ---- final scalar values ----------------------------------------------------
   for (const auto& [name, def_stmt] : st.def_of) {
-    const long lim = stmt_limit(def_stmt, loop.max_iters, st.fired);
+    const long lim = st.limit_now(def_stmt);
     if (lim > 0) {
       env.scalars[name] = st.expansion.at(name)[static_cast<std::size_t>(lim - 1)];
     } else if (st.entry_scalars.count(name)) {

@@ -654,10 +654,6 @@ class PDAccessorT {
   std::uint32_t* lw_gen_ = nullptr;   ///< generation of that entry
 };
 
-/// Historical names: the shared policy, which is what these spelled before
-/// the privatized store existed.
-using PDShadow = PDSharedShadow;
-using PDAccessor = PDAccessorT<PDSharedShadow>;
 using PDPrivateAccessor = PDAccessorT<PDPrivateShadow>;
 
 }  // namespace wlp

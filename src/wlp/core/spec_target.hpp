@@ -6,19 +6,14 @@
 // It also holds AccessPattern, the stamp index and PD shadow that
 // trip-aligned sibling targets share.
 //
-// Two tiers of API:
-//   * The original per-target virtuals (checkpoint / undo_beyond /
-//     restore_all / ...) — every target implements these; drivers that run
-//     one target, and the transaction's fallback for opaque targets, use
-//     them directly.
-//   * The txn_* hooks — span-granular pieces of the same operations, so a
-//     SpecTransaction can run ONE pool-parallel pass over the concatenated
-//     block ranges of all its members instead of k sequential parallel
-//     passes (ISSUE 8: rollback must be bandwidth-bound in one stream, not
-//     latency-bound in k).  All hooks have conservative defaults: a target
-//     that doesn't implement them reports no index / no spans / no slots,
-//     and the transaction falls back to its per-target virtuals.  Adding
-//     hooks with defaults is non-breaking — no external subclasses exist.
+// One API tier: SpecTransaction (txn.hpp) is the only caller that
+// checkpoints, undoes or restores a target, and it does so through the
+// span-granular txn_* hooks.  One pool-parallel pass then covers the
+// concatenated block ranges of all members instead of k sequential passes
+// (rollback is bandwidth-bound in one stream, not latency-bound in k).  A
+// dense target reports its stamp index and copies spans; a hash-backed one
+// reports slots and undoes slot ranges; the defaults are "nothing of that
+// kind", so a target implements only the side it has.
 #pragma once
 
 #include <atomic>
@@ -62,11 +57,6 @@ class SpecTarget {
   void set_footprint_listener(FootprintListener* l) noexcept {
     footprint_listener_.store(l, std::memory_order_release);
   }
-  /// Snapshot before the speculative run (the Tb term).  The pool, when
-  /// given, parallelizes the copy; nullptr keeps it serial.
-  virtual void checkpoint(ThreadPool* pool) = 0;
-  virtual long undo_beyond(long trip, ThreadPool* pool) = 0;
-  virtual void restore_all(ThreadPool* pool) = 0;
   virtual bool shadowed() const = 0;
   virtual PDVerdict analyze(ThreadPool& pool, long trip) const = 0;
   virtual void reset_marks() = 0;
@@ -113,11 +103,11 @@ class SpecTarget {
   // ---- fused-transaction hooks (SpecTransaction, txn.hpp) ------------------
 
   /// The trip-indexed stamp/dirty index this target's speculative writes go
-  /// through, or nullptr for a target the transaction must treat as opaque
-  /// (fall back to the per-target virtuals above).  Targets returning the
-  /// SAME index are trip-aligned siblings: the transaction walks their
-  /// shared dirty summary once and dispatches each merged span to every
-  /// member back-to-back.
+  /// through, or nullptr for a target with no dense side (its undo state
+  /// lives in hash slots only).  Targets returning the SAME index are
+  /// trip-aligned siblings: the transaction walks their shared dirty
+  /// summary once and dispatches each merged span to every member
+  /// back-to-back.
   virtual StampIndex* txn_index() noexcept { return nullptr; }
   /// Prepare for a fused checkpoint (resize the pooled backup, count the
   /// checkpoint); returns the element count the transaction's single

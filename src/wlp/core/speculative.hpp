@@ -100,11 +100,6 @@ class SpecArray final : public SpecTarget {
 
   // ---- SpecTarget ----------------------------------------------------------
 
-  void checkpoint(ThreadPool* pool) override { array_.checkpoint(pool); }
-  long undo_beyond(long trip, ThreadPool* pool) override {
-    return array_.undo_beyond(trip, pool);
-  }
-  void restore_all(ThreadPool* pool) override { array_.restore_all(pool); }
   bool shadowed() const override { return pattern_->shadowed(); }
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
     return pattern_->analyze(pool, trip);

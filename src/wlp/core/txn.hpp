@@ -18,10 +18,11 @@
 //     per array;
 //   * publishes wlp.undo.{checkpoint_ns,restore_ns,blocks_dirty} once per
 //     transaction operation, not once per target, so multi-array loops
-//     stop inflating the histograms k-fold;
-//   * falls back to the per-target virtuals for opaque targets (no
-//     txn_index(), no sparse slots), so custom SpecTargets keep working
-//     unchanged inside a transaction.
+//     stop inflating the histograms k-fold.
+//
+// The transaction is the only path by which a target is checkpointed,
+// undone or restored: every member reports a stamp index, hash slots, or
+// both (spec_target.hpp), and its undo state is reached through them.
 //
 // Pattern sharing: trip-aligned members (same write set per iteration — see
 // the StampIndex class comment for why that is the aliasing rule) can be
@@ -99,7 +100,6 @@ class SpecTransaction : public FootprintListener {
         g->members.push_back(t);
       }
       if (slots != 0) sparse_.push_back(SparseEntry{t, slots});
-      if (idx == nullptr && slots == 0) opaque_.push_back(t);
       // One entry per distinct PD shadow: siblings over one AccessPattern
       // are analysed and counted through the first of them.
       if (t->shadowed() &&
@@ -164,8 +164,8 @@ class SpecTransaction : public FootprintListener {
   }
 
   /// Reset every member's marks and take the fused checkpoint: one parallel
-  /// pass over all members' element ranges (plus the legacy path for opaque
-  /// targets).  Replaces the per-target reset+checkpoint driver loops.
+  /// pass over all members' element ranges.  Replaces the per-target
+  /// reset+checkpoint driver loops.
   void begin(ThreadPool* pool) {
     for (SpecTarget* t : all_) t->reset_marks();
     const auto t0 = std::chrono::steady_clock::now();
@@ -184,7 +184,6 @@ class SpecTransaction : public FootprintListener {
     } else {
       for (long c = 0; c < nchunks; ++c) checkpoint_chunk(c);
     }
-    for (SpecTarget* t : opaque_) t->checkpoint(pool);
     [[maybe_unused]] const double ns = detail::spec_ns_since(t0);
     WLP_OBS_COUNT("wlp.txn.begins", 1);
     WLP_OBS_COUNT("wlp.txn.targets", static_cast<long>(all_.size()));
@@ -210,7 +209,6 @@ class SpecTransaction : public FootprintListener {
     } else {
       for (long u = 0; u < nunits; ++u) undone += undo_unit(u, trip, blocks);
     }
-    for (SpecTarget* t : opaque_) undone += t->undo_beyond(trip, pool);
     [[maybe_unused]] const double ns = detail::spec_ns_since(t0);
     WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
     WLP_OBS_COUNT("wlp.undo.blocks_dirty",
@@ -246,9 +244,7 @@ class SpecTransaction : public FootprintListener {
     } else {
       for (long u = 0; u < nunits; ++u) run_unit(u);
     }
-    for (SpecTarget* t : opaque_) t->restore_all(pool);
-    // Every member (fused AND sparse) drops its spent undo state; the hook
-    // defaults to a no-op, so opaque targets are unaffected.
+    // Every member (fused AND sparse) drops its spent undo state.
     for (SpecTarget* t : all_) t->txn_restore_all_done();
     [[maybe_unused]] const double ns = detail::spec_ns_since(t0);
     WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
@@ -292,7 +288,6 @@ class SpecTransaction : public FootprintListener {
   /// Shape introspection (tests and the microbench assert on these).
   std::size_t targets() const noexcept { return all_.size(); }
   std::size_t fused_targets() const noexcept { return fused_.size(); }
-  std::size_t opaque_targets() const noexcept { return opaque_.size(); }
   std::size_t shared_groups() const noexcept { return groups_.size(); }
   /// Stamp bytes the index sharing avoided vs one private index per member.
   std::size_t stamp_bytes_saved() const noexcept { return stamp_bytes_saved_; }
@@ -362,7 +357,6 @@ class SpecTransaction : public FootprintListener {
 
   std::vector<SpecTarget*> all_;     ///< registration order
   std::vector<SpecTarget*> fused_;   ///< members with a stamp index
-  std::vector<SpecTarget*> opaque_;  ///< legacy per-target fallback
   std::vector<SpecTarget*> shadowed_;  ///< one member per distinct shadow
   std::vector<Group> groups_;        ///< fused members grouped by index
   std::vector<SparseEntry> sparse_;  ///< members with hash-slot chunks
@@ -384,6 +378,11 @@ class SpecTransaction : public FootprintListener {
 /// overflow latches a permanent ban on the hash side for THIS array only:
 /// the next retry runs dense, siblings in the same transaction are
 /// untouched.
+///
+/// The hash side is Section 4's sparse backup, the library's only one: a
+/// HashBackup record saves each location before its first write, so backup
+/// memory follows the touched set, and a full table fails the round into a
+/// full restore and sequential re-execution.
 ///
 /// Inside a SpecTransaction the target reports both personalities: its
 /// stamp index joins the fused dense walk (a no-op on hash retries — no
@@ -453,6 +452,8 @@ class AdaptiveSpecArray final : public SpecTarget {
   }
 
   UndoStats undo_stats() const { return array_.stats(); }
+  /// Locations the hash side recorded this retry (0 on a dense retry).
+  std::size_t backup_entries() const noexcept { return hash_.entries(); }
 
   /// Mid-run upgrade hash -> dense: adopt the dense backend NOW without
   /// losing the hash-recorded undo state.  The dense backup is rebuilt to
@@ -493,27 +494,6 @@ class AdaptiveSpecArray final : public SpecTarget {
 
   // ---- SpecTarget ----------------------------------------------------------
 
-  void checkpoint(ThreadPool* pool) override {
-    if (mode_ == BackupKind::kDense) array_.checkpoint(pool);
-  }
-  long undo_beyond(long trip, ThreadPool* pool) override {
-    if (mode_ == BackupKind::kDense) {
-      long undone = array_.undo_beyond(trip, pool);
-      // After a mid-run hash->dense upgrade (flip_to_dense) the pre-flip
-      // writes are stamped only in the hash slots; a plain dense retry
-      // holds no entries, so this costs nothing in the common case.
-      if (hash_.entries() != 0)
-        undone += hash_.undo_into(array_.data(), trip, pool);
-      return undone;
-    }
-    return hash_.undo_into(array_.data(), trip, pool);
-  }
-  void restore_all(ThreadPool* pool) override {
-    if (mode_ == BackupKind::kDense)
-      array_.restore_all(pool);
-    else
-      hash_.restore_all_into(array_.data(), pool);
-  }
   bool shadowed() const override { return pattern_.shadowed(); }
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
     return pattern_.analyze(pool, trip);

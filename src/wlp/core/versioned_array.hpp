@@ -449,8 +449,9 @@ class VersionedArray {
 
   Writer writer() noexcept { return Writer(this); }
 
-  /// Unstamped write (sequential / non-speculative contexts).
-  void write_raw(std::size_t idx, const T& v) noexcept { data_[idx] = v; }
+  /// Unstamped write: the same relaxed store as write(), without the stamp
+  /// (hash-backed speculation keeps its undo state outside the index).
+  void write_raw(std::size_t idx, const T& v) noexcept { store(idx, v); }
 
   /// Snapshot the current contents — the Tb overhead of Section 7.  With a
   /// pool, the copy is chunked across the workers (memcpy per chunk for

@@ -39,7 +39,6 @@
 #include "wlp/core/speculative.hpp"    // IWYU pragma: export
 #include "wlp/core/speculative_privatized.hpp"  // IWYU pragma: export
 #include "wlp/core/speculative_strips.hpp"      // IWYU pragma: export
-#include "wlp/core/sparse_spec.hpp"    // IWYU pragma: export
 #include "wlp/core/run_twice.hpp"      // IWYU pragma: export
 #include "wlp/core/strategies.hpp"     // IWYU pragma: export
 #include "wlp/core/sliding_window.hpp" // IWYU pragma: export

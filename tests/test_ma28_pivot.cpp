@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "wlp/workloads/hb_generator.hpp"
 #include "wlp/workloads/ma28_pivot.hpp"
 
 namespace wlp::workloads {
 namespace {
 
+// Printed by gtest as a raw byte dump into the test names, so every byte is
+// a value: a pointer member or padding would make the names change between
+// builds and runs.
 struct PivotCase {
-  int matrix;
-  SearchAxis axis;
-  const char* name;
+  std::int8_t matrix;
+  bool columns;  ///< SearchAxis::kColumns, else kRows
+  char name[14];
 };
+static_assert(sizeof(PivotCase) == 16, "PivotCase must have no padding");
 
 SparseMatrix pick_matrix(int which) {
   switch (which) {
@@ -26,7 +32,8 @@ class Ma28Search : public ::testing::TestWithParam<PivotCase> {};
 TEST_P(Ma28Search, ParallelMethodsAreSequentiallyConsistent) {
   ThreadPool pool(4);
   const SparseMatrix m = pick_matrix(GetParam().matrix);
-  Ma28PivotSearch search(m, {0.1, GetParam().axis});
+  Ma28PivotSearch search(m, {0.1, GetParam().columns ? SearchAxis::kColumns
+                                                     : SearchAxis::kRows});
 
   long seq_trip = 0;
   const PivotCandidate seq = search.search_sequential(&seq_trip);
@@ -50,12 +57,12 @@ TEST_P(Ma28Search, ParallelMethodsAreSequentiallyConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, Ma28Search,
-    ::testing::Values(PivotCase{0, SearchAxis::kRows, "grid_rows"},
-                      PivotCase{0, SearchAxis::kColumns, "grid_cols"},
-                      PivotCase{1, SearchAxis::kRows, "power_rows"},
-                      PivotCase{1, SearchAxis::kColumns, "power_cols"},
-                      PivotCase{2, SearchAxis::kRows, "power2_rows"},
-                      PivotCase{3, SearchAxis::kRows, "aniso_rows"}),
+    ::testing::Values(PivotCase{0, false, "grid_rows"},
+                      PivotCase{0, true, "grid_cols"},
+                      PivotCase{1, false, "power_rows"},
+                      PivotCase{1, true, "power_cols"},
+                      PivotCase{2, false, "power2_rows"},
+                      PivotCase{3, false, "aniso_rows"}),
     [](const auto& info) { return info.param.name; });
 
 TEST(Ma28Search, SequentialExitBoundIsEffective) {

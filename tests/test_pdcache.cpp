@@ -6,12 +6,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "wlp/core/sliding_window.hpp"
-#include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
+#include "wlp/core/txn.hpp"
 #include "wlp/mem/budget.hpp"
 #include "wlp/pd/verdict_cache.hpp"
 
@@ -422,7 +423,8 @@ TEST(PDCacheDirtyBlocks, DenseStampsAndSparseBackupAgreeOnUnits) {
   SpecArray<double> dense(std::vector<double>(1024, 0.0), pool.size(), false);
   SpecTarget* td = &dense;
   EXPECT_EQ(td->dirty_block_count(), 0);
-  td->checkpoint(nullptr);
+  SpecTransaction txn(std::span<SpecTarget* const>(&td, 1));
+  txn.begin(nullptr);
   // 130 writes into the first 130 elements: blocks 0 and 1 full, block 2
   // partially touched -> 3 dirty 64-element blocks.
   for (long i = 0; i < 130; ++i)
@@ -431,8 +433,9 @@ TEST(PDCacheDirtyBlocks, DenseStampsAndSparseBackupAgreeOnUnits) {
   td->reset_marks();  // epoch bump clears the stamps
   EXPECT_EQ(td->dirty_block_count(), 0);
 
-  std::vector<double> data(1 << 16, 0.0);
-  SparseSpecArray<double> sparse(data, pool.size(), 256, false);
+  AdaptiveSpecArray<double> sparse(std::vector<double>(1 << 16, 0.0),
+                                   pool.size(), 256, false);
+  ASSERT_EQ(sparse.backup_kind(), BackupKind::kHash);
   SpecTarget* ts = &sparse;
   EXPECT_EQ(ts->dirty_block_count(), 0);
   // Stride 503: 129 * 503 = 64887 keeps every index inside the 2^16 array.

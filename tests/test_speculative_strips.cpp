@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative_strips.hpp"
+#include "wlp/core/txn.hpp"
 
 namespace wlp {
 namespace {
@@ -116,9 +116,10 @@ TEST(SparseSpec, UndoThroughHashBackup) {
   ThreadPool pool(4);
   const long big = 1 << 20;  // a large state array nobody wants to copy
   const long iters = 5000, exit_at = 3500;
-  std::vector<double> state(static_cast<std::size_t>(big), 0.0);
-  SparseSpecArray<double> sparse(state, pool.size(),
-                                 static_cast<std::size_t>(iters), true);
+  AdaptiveSpecArray<double> sparse(
+      std::vector<double>(static_cast<std::size_t>(big), 0.0), pool.size(),
+      static_cast<std::size_t>(iters), true);
+  ASSERT_EQ(sparse.backup_kind(), BackupKind::kHash);
   SpecTarget* targets[] = {&sparse};
 
   const ExecReport r = speculative_while(
@@ -141,13 +142,16 @@ TEST(SparseSpec, UndoThroughHashBackup) {
   std::vector<double> expect(static_cast<std::size_t>(big), 0.0);
   for (long i = 0; i < exit_at; ++i)
     expect[static_cast<std::size_t>((i * 7919) % big)] = static_cast<double>(i);
-  EXPECT_EQ(state, expect);
+  EXPECT_EQ(sparse.data(), expect);
 }
 
 TEST(SparseSpec, FailedSpeculationRestoresThroughBackup) {
   ThreadPool pool(4);
-  std::vector<double> state(1000, 3.0);
-  SparseSpecArray<double> sparse(state, pool.size(), 2048, true);
+  // Large enough that the 2048-write hint sits below the hash crossover.
+  AdaptiveSpecArray<double> sparse(std::vector<double>(1 << 15, 3.0),
+                                   pool.size(), 2048, true);
+  ASSERT_EQ(sparse.backup_kind(), BackupKind::kHash);
+  const std::vector<double>& state = sparse.data();
   SpecTarget* targets[] = {&sparse};
 
   const ExecReport r = speculative_while(

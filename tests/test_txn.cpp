@@ -4,7 +4,7 @@
 //   * index sharing between trip-aligned members actually halves stamp
 //     memory and the transaction reports the savings,
 //   * mixed dense+hash transactions survive concurrent writers straddling
-//     shared stamp words (the TSan job runs these under Txn*),
+//     shared stamp words (the CI TSan job runs them),
 //   * an AdaptiveSpecArray's hash overflow falls back to dense without
 //     disturbing its siblings,
 //   * epoch wrap with live multi-array stamps sweeps the shared index once
@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
 #include "wlp/core/txn.hpp"
@@ -45,7 +44,6 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
   SpecTransaction txn(std::span<SpecTarget* const>(targets, 3));
   EXPECT_EQ(txn.shared_groups(), 2u);  // {a,b} and {c}
   EXPECT_EQ(txn.fused_targets(), 3u);
-  EXPECT_EQ(txn.opaque_targets(), 0u);
 
   VersionedArray<long> ra(std::vector<long>(n, -1));
   VersionedArray<long> rb(std::vector<long>(n, -2));
@@ -87,8 +85,10 @@ TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
   const std::size_t n = 1 << 12;
   SpecArray<double> a(std::vector<double>(n, 1.5), pool.size(), false);
   SpecArray<double> b(std::vector<double>(n, 2.5), a.shared_pattern());
-  std::vector<double> sparse_data(n, 3.5);
-  SparseSpecArray<double> s(sparse_data, pool.size(), 256, false);
+  AdaptiveSpecArray<double> s(std::vector<double>(n, 3.5), pool.size(), 256,
+                              false);
+  ASSERT_EQ(s.backup_kind(), BackupKind::kHash);
+  const std::vector<double>& sparse_data = s.data();
   SpecTarget* targets[] = {&a, &b, &s};
   SpecTransaction txn(std::span<SpecTarget* const>(targets, 3));
 
@@ -153,9 +153,13 @@ TEST(TxnStress, MixedDenseHashConcurrentWritersSharedWords) {
                       pool.size(), true);
   SpecArray<double> b(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                       a.shared_pattern());
-  std::vector<double> sdata(static_cast<std::size_t>(n), 0.0);
-  SparseSpecArray<double> s(sdata, pool.size(), static_cast<std::size_t>(n),
-                            true);
+  // The hash member's array is 16x the written range, so the n-write hint
+  // sits below the hash crossover.
+  AdaptiveSpecArray<double> s(
+      std::vector<double>(static_cast<std::size_t>(16 * n), 0.0), pool.size(),
+      static_cast<std::size_t>(n), true);
+  ASSERT_EQ(s.backup_kind(), BackupKind::kHash);
+  const std::vector<double>& sdata = s.data();
   SpecTarget* targets[] = {&a, &b, &s};
 
   SpecOptions opts;
@@ -187,9 +191,8 @@ TEST(TxnStress, MixedDenseHashConcurrentWritersSharedWords) {
     ASSERT_EQ(b.data()[idx], i < exit_at ? static_cast<double>(2 * i) : 0.0)
         << i;
   }
-  for (long i = 0; i < n; ++i)
-    ASSERT_EQ(sdata[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : 0.0)
-        << i;
+  for (std::size_t i = 0; i < sdata.size(); ++i)
+    ASSERT_EQ(sdata[i], static_cast<long>(i) < exit_at ? 1.0 : 0.0) << i;
 }
 
 TEST(TxnAdaptive, PicksHashForSparseAndDenseForDenseTouches) {

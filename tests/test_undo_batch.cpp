@@ -15,9 +15,9 @@
 
 #include "wlp/core/adaptive.hpp"
 #include "wlp/core/sliding_window.hpp"
-#include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
+#include "wlp/core/txn.hpp"
 
 namespace wlp {
 namespace {
@@ -25,9 +25,11 @@ namespace {
 TEST(BackupOverflow, SpeculationFallsBackSequentially) {
   ThreadPool pool(4);
   const long n = 2000;  // far more distinct writes than the backup can hold
-  std::vector<double> state(8192, -1.0);
   // expected_writes = 8 -> 16-ish slots: guaranteed overflow.
-  SparseSpecArray<double> sparse(state, pool.size(), 8, /*run_pd_test=*/true);
+  AdaptiveSpecArray<double> sparse(std::vector<double>(8192, -1.0),
+                                   pool.size(), 8, /*run_pd_test=*/true);
+  ASSERT_EQ(sparse.backup_kind(), BackupKind::kHash);
+  const std::vector<double>& state = sparse.data();
   SpecTarget* targets[] = {&sparse};
 
   const ExecReport r = speculative_while(
@@ -57,10 +59,12 @@ TEST(BackupOverflow, SpeculationFallsBackSequentially) {
 TEST(BackupOverflow, StripDriverContainsOverflowToOneStrip) {
   ThreadPool pool(4);
   const long n = 1024, strip = 256;
-  std::vector<double> state(4096, 0.0);
   // 200 expected writes -> 512 slots: room for one plain strip (~256 distinct
   // locations) but NOT for the burst strip below (4 per iteration = 1024).
-  SparseSpecArray<double> sparse(state, pool.size(), 200, true);
+  AdaptiveSpecArray<double> sparse(std::vector<double>(4096, 0.0),
+                                   pool.size(), 200, true);
+  ASSERT_EQ(sparse.backup_kind(), BackupKind::kHash);
+  const std::vector<double>& state = sparse.data();
   SpecTarget* targets[] = {&sparse};
 
   auto body = [&](long i, unsigned vpn) {
@@ -142,9 +146,12 @@ TEST(StripRetries, SteadyStateAllocatesNothing) {
 TEST(WindowBudget, ControllerUsesMeasuredBackupBytes) {
   ThreadPool pool(4);
   const long n = 4000;
-  std::vector<double> state(8192, 0.0);
-  SparseSpecArray<double> sparse(state, pool.size(),
-                                 static_cast<std::size_t>(n), true);
+  // Large enough that the n-write hint sits below the hash crossover.
+  AdaptiveSpecArray<double> sparse(std::vector<double>(1 << 16, 0.0),
+                                   pool.size(), static_cast<std::size_t>(n),
+                                   true);
+  ASSERT_EQ(sparse.backup_kind(), BackupKind::kHash);
+  const std::vector<double>& state = sparse.data();
   SpecTarget* targets[] = {&sparse};
 
   WindowOptions opts;

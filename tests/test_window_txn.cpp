@@ -4,8 +4,6 @@
 // budget charge — plus one regression test per accounting bug this seam
 // fixed (double-counted adaptive backends, stale overshoot after the
 // sequential fallback, peak polled before the post-claim growth).
-//
-// Every suite here matches Window* so the CI TSan job picks it up.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -112,21 +110,6 @@ TEST(WindowTxn, FlipNotifiesTransactionAndListener) {
   EXPECT_EQ(a.data()[10], 99.0);
   EXPECT_EQ(a.data()[20], 20.0);
   EXPECT_EQ(a.data()[30], 30.0);
-}
-
-TEST(WindowTxn, TargetUndoBeyondSpansFlipBoundary) {
-  // Same boundary through the target's own virtual (no transaction): after
-  // a flip the dense-mode undo must still drain the pre-flip hash residue.
-  const std::size_t n = 64;
-  std::vector<double> init(n, 1.0);
-  AdaptiveSpecArray<double> a(init, 1, 4, false);
-  ASSERT_EQ(a.backup_kind(), BackupKind::kHash);
-  a.set(0, 2, 8, 50.0);
-  a.flip_to_dense();
-  a.set(0, 3, 9, 60.0);
-  EXPECT_EQ(a.undo_beyond(2, nullptr), 2);  // one hash slot + one stamp
-  EXPECT_EQ(a.data()[8], 1.0);
-  EXPECT_EQ(a.data()[9], 1.0);
 }
 
 // ---- the acceptance scenario: budget + forced hash->dense flip mid-loop ---
@@ -241,7 +224,8 @@ TEST(WindowAccounting, AdaptiveMemoryBytesReportsLiveBackend) {
   for (int k = 0; k < 3000; ++k) a.set(0, 3, 11, 5.0);
   a.reset_marks();
   ASSERT_EQ(a.backup_kind(), BackupKind::kDense);
-  a.checkpoint(nullptr);
+  a.txn_checkpoint_begin();  // the dense half of a transaction's begin()
+  a.txn_checkpoint_span(0, n);
   // Dense retry pins data + backup (+ stamps); the hash side is empty and
   // contributes nothing.
   EXPECT_GE(a.memory_bytes(), 2 * n * sizeof(double));
